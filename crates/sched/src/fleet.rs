@@ -1501,6 +1501,16 @@ mod tests {
         );
     }
 
+    /// `sim()` with the failure process switched off (`mtbf_h = ∞`) and
+    /// the given offered load.
+    fn failure_free(arrival_interval_s: f64, horizon_s: f64) -> FleetSim {
+        FleetSim::for_spec(&MachineSpec::v4(), horizon_s, 42).with_profile(FleetSpec {
+            arrival_interval_s,
+            mtbf_h: f64::INFINITY,
+            ..sim().profile
+        })
+    }
+
     #[test]
     fn static_arm_pays_fragmentation_not_reconfig() {
         let trace = sim().run(FabricKind::Static);
@@ -1514,6 +1524,50 @@ mod tests {
             ocs.goodput,
             m.goodput
         );
+        // §2.6 benefit 6, "simplified scheduling to improve
+        // utilization": the plugboard keeps more chips busy and
+        // finishes more jobs under the same offered load.
+        assert!(
+            ocs.utilization > m.utilization,
+            "ocs {} <= static {}",
+            ocs.utilization,
+            m.utilization
+        );
+        assert!(
+            ocs.completions > m.completions,
+            "ocs {} <= static {}",
+            ocs.completions,
+            m.completions
+        );
+    }
+
+    #[test]
+    fn failure_free_fleet_is_always_up() {
+        let trace = failure_free(40.0, 50_000.0).run(FabricKind::Ocs);
+        assert_eq!(trace.host_failures, 0);
+        assert_eq!(trace.host_repairs, 0);
+        assert_eq!(trace.failure_kills, 0);
+        assert_eq!(trace.metrics().availability, 1.0);
+    }
+
+    #[test]
+    fn light_load_without_failures_places_every_offerable_job() {
+        // With almost no contention and no failures both arms place
+        // every job on arrival; the static arm turns away exactly the
+        // shapes no contiguous box can offer.
+        let s = failure_free(2_000.0, 400_000.0);
+        let ocs = s.run(FabricKind::Ocs);
+        let fixed = s.run(FabricKind::Static);
+        assert_eq!(ocs.arrivals, fixed.arrivals, "one job stream for both arms");
+        assert_eq!(ocs.rejected, 0);
+        assert!(fixed.rejected > 0, "cigar shapes are never offerable");
+        assert_eq!(ocs.placements, ocs.arrivals);
+        assert_eq!(fixed.placements + fixed.rejected, fixed.arrivals);
+        for trace in [&ocs, &fixed] {
+            let m = trace.metrics();
+            assert_eq!(trace.left_in_queue, 0);
+            assert!(m.mean_wait_s < 1.0, "{m:?}");
+        }
     }
 
     #[test]

@@ -228,8 +228,12 @@ impl FleetSpec {
     /// alternating up/down cycle). This is the closed form the
     /// discrete-event fleet simulation's measured availability — and,
     /// through `availability^hosts`, its measured goodput — must
-    /// reproduce (the `fleet_equivalence` cross-check).
+    /// reproduce (the `fleet_equivalence` cross-check). An infinite
+    /// MTBF (a failure-free fleet) is exactly 1.0, not `∞/∞`.
     pub fn steady_availability(&self) -> f64 {
+        if self.mtbf_h.is_infinite() {
+            return 1.0;
+        }
         self.mtbf_h / (self.mtbf_h + self.mean_repair_h())
     }
 }
@@ -1421,6 +1425,13 @@ mod tests {
             ..reference
         };
         assert!((loose.steady_availability() - 0.995).abs() < 1e-9);
+
+        // A failure-free fleet is always up (inf/(inf+mttr) would be NaN).
+        let failure_free = FleetSpec {
+            mtbf_h: f64::INFINITY,
+            ..reference
+        };
+        assert_eq!(failure_free.steady_availability(), 1.0);
     }
 
     #[test]
