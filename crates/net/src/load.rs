@@ -161,7 +161,7 @@ impl AllToAll {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tpu_topology::{SliceShape, Torus, TwistedTorus};
+    use tpu_topology::{Coord3, SliceShape, Torus, TwistSpec, TwistedTorus};
 
     #[test]
     fn loads_scale_linearly_with_message_size() {
@@ -203,6 +203,36 @@ mod tests {
         let gain = tw.throughput_per_node() / reg.throughput_per_node();
         // Paper Figure 6: 1.63x. Accept the model within a generous band.
         assert!(gain > 1.3 && gain < 2.0, "gain = {gain}");
+    }
+
+    #[test]
+    fn twist_offset_k_maximizes_all_to_all_on_4x4x8() {
+        // DESIGN.md §5: sweeping the z-offset applied on x/y wraps of a
+        // k×k×2k slice (k = 4), all-to-all throughput peaks at offset k
+        // and bottoms out at offset 0 (the regular torus; 2k ≡ 0).
+        let shape = SliceShape::new(4, 4, 8).unwrap();
+        let rate = LinkRate::TPU_V4_ICI;
+        let throughput = |off: u32| {
+            let wrap = Coord3::new(0, 0, off);
+            let spec = TwistSpec::new(shape, [wrap, wrap, Coord3::default()]).unwrap();
+            let graph = TwistedTorus::new(shape, spec).into_graph();
+            AllToAll::analyze(&graph, 4096, rate).throughput_per_node()
+        };
+        let sweep: Vec<f64> = (0..shape.z()).map(throughput).collect();
+        let k = 4;
+        for (off, &t) in sweep.iter().enumerate() {
+            if off != k {
+                assert!(t < sweep[k], "offset {off}: {t} >= offset k: {}", sweep[k]);
+            }
+            if off != 0 {
+                assert!(t > sweep[0], "offset {off}: {t} <= offset 0: {}", sweep[0]);
+            }
+        }
+        let paper = TwistedTorus::paper_default(shape).unwrap().into_graph();
+        assert_eq!(
+            AllToAll::analyze(&paper, 4096, rate).throughput_per_node(),
+            sweep[k]
+        );
     }
 
     #[test]

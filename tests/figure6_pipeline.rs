@@ -62,8 +62,8 @@ fn load_model_and_flow_sim_agree_on_small_slices() {
 fn twisted_wins_in_the_flow_simulator_too() {
     // The twist advantage is not an artifact of the analytic model: the
     // DMA-level simulator sees it as well. A small geometric-twistable
-    // shape keeps the max-min simulation fast in debug builds; the full
-    // 4x4x8 case runs in the release benchmark suite.
+    // shape keeps the max-min simulation fast in debug builds; the
+    // `twisted_torus` example replays the full 4x4x8 twisted slice.
     let shape = SliceShape::new(2, 2, 4).unwrap();
     let regular = tpuv4::topology::Torus::new(shape).into_graph();
     let twisted = tpuv4::topology::TwistedTorus::paper_default(shape)
