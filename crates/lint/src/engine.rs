@@ -405,8 +405,8 @@ pub fn rel_path(root: &Path, path: &Path) -> String {
         .replace('\\', "/")
 }
 
-/// Runs every rule over the whole workspace rooted at `root`, plus the
-/// committed `BENCH_*.json` schema check, returning sorted diagnostics.
+/// Runs every rule over the whole workspace rooted at `root`, returning
+/// sorted diagnostics.
 pub fn analyze_workspace(root: &Path) -> Result<Vec<Diagnostic>, String> {
     let resolver = rules::CitationResolver::from_workspace(root)?;
     let mut diags = Vec::new();
@@ -416,7 +416,6 @@ pub fn analyze_workspace(root: &Path) -> Result<Vec<Diagnostic>, String> {
             .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
         diags.extend(lint_source(&rel, &source, &resolver));
     }
-    diags.extend(crate::bench_schema::check_workspace(root)?);
     diags.sort_by_key(|d| d.sort_key());
     Ok(diags)
 }

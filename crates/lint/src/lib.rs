@@ -17,8 +17,7 @@
 //! * [`rules::deprecation`] — no internal use of the deprecated
 //!   `tpu_v4()` alias family.
 //!
-//! Plus the [`bench_schema`] check on committed `BENCH_*.json` perf
-//! reports. Findings are suppressed inline with
+//! Findings are suppressed inline with
 //! `// tpu-lint: allow(<rule>) -- <reason>`; the reason is mandatory and
 //! unused or malformed suppressions are findings themselves. The rule
 //! catalog lives in DESIGN.md §13, the diagnostic JSON schema in
@@ -27,7 +26,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bench_schema;
 pub mod diag;
 pub mod engine;
 pub mod lexer;

@@ -1,10 +1,10 @@
 //! A minimal blocking HTTP/1.1 client.
 //!
-//! Just enough to exercise the server from tests and from
-//! `perf_report`'s service benchmarks without external tooling. Two
+//! Just enough to exercise the server from tests and from the
+//! repository benchmark (`perfbench/`) without external tooling. Two
 //! shapes: [`request`] opens a fresh connection per call
 //! (`Connection: close`), and [`Connection`] holds one keep-alive
-//! socket open across calls — the shape the keep-alive benchmarks and
+//! socket open across calls — the shape the keep-alive benchmark and
 //! byte-identity tests measure.
 
 use std::io::{self, BufRead, BufReader, Read, Write};
