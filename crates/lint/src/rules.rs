@@ -437,7 +437,7 @@ mod tests {
     fn determinism_heap_allowlist() {
         let src = "use std::collections::BinaryHeap;\n";
         assert!(run("crates/sched/src/equeue.rs", src).is_empty());
-        let found = run("crates/sched/src/cluster.rs", src);
+        let found = run("crates/sched/src/fleet.rs", src);
         assert_eq!(found.len(), 1, "{found:?}");
         assert!(found[0].contains("BinaryHeap"), "{found:?}");
     }

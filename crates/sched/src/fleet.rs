@@ -1,10 +1,10 @@
 //! The discrete-event fleet simulator: months of Palomar-scale
 //! operation as one event script.
 //!
-//! [`GoodputSim`] and [`ClusterSim`] each answer one closed-form
-//! question (capacity under i.i.d. failures; queueing under a job mix).
-//! [`FleetSim`] generalizes both into a single event-driven simulation
-//! of a full fleet — the 4096-chip machine of the paper — running
+//! [`GoodputSim`] answers one closed-form question: capacity under
+//! i.i.d. failures. [`FleetSim`] generalizes it, with queueing under
+//! the Table 2 job mix, into a single event-driven simulation of a
+//! full fleet — the 4096-chip machine of the paper — running
 //! simulated months of operation:
 //!
 //! * **Job arrivals/departures**: Poisson arrivals drawn from the
@@ -65,7 +65,6 @@
 //!
 //! [`GoodputSim`]: crate::GoodputSim
 //! [`GoodputSim::goodput`]: crate::GoodputSim::goodput
-//! [`ClusterSim`]: crate::ClusterSim
 
 use crate::equeue::EventQueue;
 use crate::goodput::{place_reconfigurable, place_static, slice_geometry};

@@ -39,7 +39,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cluster;
 pub mod deploy;
 pub mod equeue;
 pub mod fleet;
@@ -48,7 +47,6 @@ pub mod model;
 pub mod slice_mix;
 pub mod trials;
 
-pub use cluster::{ClusterReport, ClusterSim};
 pub use deploy::DeploymentModel;
 pub use fleet::{FleetMetrics, FleetSim, FleetTrace, TraceEvent, TraceKind};
 pub use goodput::GoodputSim;
