@@ -12,8 +12,7 @@ pub struct Diagnostic {
     /// 1-based byte column.
     pub col: u32,
     /// Stable rule name (`determinism`, `unit-hygiene`, `panic-policy`,
-    /// `citation`, `deprecation`, `bad-suppression`,
-    /// `unused-suppression`).
+    /// `citation`, `bad-suppression`, `unused-suppression`).
     pub rule: &'static str,
     /// Human-readable description of the violation.
     pub message: String,

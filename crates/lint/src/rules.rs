@@ -9,13 +9,7 @@ use std::collections::BTreeSet;
 use std::path::Path;
 
 /// Every suppressible rule name, in catalog order.
-pub const RULE_NAMES: [&str; 5] = [
-    "determinism",
-    "unit-hygiene",
-    "panic-policy",
-    "citation",
-    "deprecation",
-];
+pub const RULE_NAMES: [&str; 4] = ["determinism", "unit-hygiene", "panic-policy", "citation"];
 
 fn diag(ctx: &FileContext<'_>, tok: &Token<'_>, rule: &'static str, message: String) -> Diagnostic {
     Diagnostic {
@@ -352,49 +346,6 @@ fn check_docs_refs(
     }
 }
 
-/// The `#[deprecated]` alias family (PR 4): associated functions kept
-/// only so external callers keep compiling.
-const DEPRECATED_PATHS: [(&str, &str); 8] = [
-    ("Supercomputer", "tpu_v4"),
-    ("Fabric", "tpu_v4"),
-    ("GoodputSim", "tpu_v4"),
-    ("ClusterSim", "tpu_v4"),
-    ("TensorCore", "tpu_v4"),
-    ("ScGeneration", "tpu_v4"),
-    ("EmbeddingSystem", "tpu_v4_slice"),
-    ("AlphaBeta", "tpu_v4_ici"),
-];
-
-/// # Rule `deprecation`
-///
-/// Internal code may not call the `#[deprecated]` `tpu_v4()` alias
-/// family — `for_generation`/`for_spec` are the supported constructors.
-/// Clippy already denies *warned* uses; this rule also catches uses
-/// hidden under `#[allow(deprecated)]`.
-pub fn deprecation(ctx: &FileContext<'_>, out: &mut Vec<Diagnostic>) {
-    if ctx.kind == FileKind::TestCode {
-        return;
-    }
-    for (i, tok) in code_tokens(ctx) {
-        if tok.kind != TokenKind::Ident {
-            continue;
-        }
-        for (recv, method) in DEPRECATED_PATHS {
-            if tok.text == recv && path_sep_then(ctx.tokens, i + 1, method) {
-                out.push(diag(
-                    ctx,
-                    tok,
-                    "deprecation",
-                    format!(
-                        "{recv}::{method} is a deprecated alias; use \
-                         {recv}::for_generation or {recv}::for_spec"
-                    ),
-                ));
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -525,25 +476,5 @@ mod tests {
         assert!(dangling[0].contains("docs/missing.md"));
         // Citations are checked in test files too.
         assert_eq!(run("crates/net/tests/x.rs", "// DESIGN.md §42\n").len(), 1);
-    }
-
-    #[test]
-    fn deprecation_catches_alias_family() {
-        let src = "fn f() { let m = Supercomputer::tpu_v4(); }\n";
-        let found = run("crates/workloads/src/x.rs", src);
-        assert_eq!(found.len(), 1);
-        assert!(found[0].contains("deprecated alias"));
-        // ChipSpec::tpu_v4 is NOT deprecated (plain data constructor).
-        assert!(run(
-            "crates/workloads/src/x.rs",
-            "fn f() { ChipSpec::tpu_v4(); }\n"
-        )
-        .is_empty());
-        // The defining `pub fn tpu_v4()` does not match the path shape.
-        assert!(run(
-            "crates/core/src/machine.rs",
-            "impl Supercomputer { pub fn tpu_v4() -> Self { todo!() } }\n"
-        )
-        .is_empty());
     }
 }
