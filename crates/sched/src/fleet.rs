@@ -1500,8 +1500,8 @@ mod tests {
         );
     }
 
-    /// `sim()` with the failure process switched off (`mtbf_h = ∞`) and
-    /// the given offered load.
+    /// A v4 fleet on `sim()`'s profile with the failure process
+    /// switched off (`mtbf_h = ∞`), at the given arrival interval.
     fn failure_free(arrival_interval_s: f64, horizon_s: f64) -> FleetSim {
         FleetSim::for_spec(&MachineSpec::v4(), horizon_s, 42).with_profile(FleetSpec {
             arrival_interval_s,
