@@ -17,10 +17,9 @@ use crate::{Result, SupercomputerError};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-use tpu_net::{torus_diameter_hops, AllToAll, AlphaBeta, LinkRate, SwitchedFabric, TorusPaths};
+use tpu_net::CollectiveBackend;
 use tpu_ocs::{BlockId, Fabric, MaterializedSlice, SliceSpec};
-use tpu_spec::{CollectiveSpec, FabricKind, Generation, LatencySpec, MachineSpec};
-use tpu_topology::Torus;
+use tpu_spec::{FabricKind, Generation, MachineSpec};
 
 /// Identifier of a running job.
 #[derive(
@@ -162,13 +161,12 @@ pub enum Collective {
 }
 
 /// A switched (NVLink-island + fat-tree) machine's allocatable state:
-/// the collective model plus island health. Islands are interchangeable
+/// island geometry plus island health. Islands are interchangeable
 /// behind the full-bisection fat tree, so allocation is pure chip
 /// accounting — the contrast the paper draws with slice geometry on the
 /// torus machine.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SwitchedCluster {
-    model: SwitchedFabric,
     islands: u64,
     island_chips: u32,
     hosts_per_island: u32,
@@ -187,10 +185,11 @@ impl SwitchedCluster {
     /// gets one partial last island, so capacity always equals
     /// `fleet_chips` exactly.
     pub fn for_spec(spec: &MachineSpec) -> Option<SwitchedCluster> {
-        let model = SwitchedFabric::for_spec(spec)?;
+        if spec.fabric != FabricKind::Switched {
+            return None;
+        }
         let (islands, island_chips, hosts_per_island) = spec.scheduling_units();
         Some(SwitchedCluster {
-            model,
             islands,
             island_chips,
             hosts_per_island,
@@ -198,11 +197,6 @@ impl SwitchedCluster {
             down_hosts: BTreeSet::new(),
             down_chips: 0,
         })
-    }
-
-    /// The collective-performance model.
-    pub fn model(&self) -> &SwitchedFabric {
-        &self.model
     }
 
     /// Islands (DGX-style boxes) in the cluster; the last may be
@@ -297,9 +291,9 @@ pub struct Supercomputer {
     fabric: MachineFabric,
     jobs: BTreeMap<JobId, RunningJob>,
     next_id: u64,
-    link_rate_gbps: f64,
-    ici_alpha_s: f64,
-    collective: CollectiveSpec,
+    /// Prices every collective: the spec's link rate, latency and
+    /// schedule policy live here, not in copies on the machine.
+    collectives: CollectiveBackend,
 }
 
 impl Supercomputer {
@@ -313,8 +307,9 @@ impl Supercomputer {
     /// machines — get a [`StaticCluster`] with contiguous-placement
     /// semantics. `FabricKind::Switched` specs (the Table 5 A100, the
     /// §7.3 `"v4-ib"` hybrid) get the switched island + fat-tree
-    /// backend. `submit` → `collective_time` runs end-to-end on every
-    /// built-in machine.
+    /// backend. Collectives are priced by the spec's
+    /// [`CollectiveBackend`]. `submit` → `collective_time` runs
+    /// end-to-end on every built-in machine.
     pub fn for_spec(spec: &MachineSpec) -> Supercomputer {
         let fabric = match spec.fabric {
             FabricKind::Switched => MachineFabric::Switched(
@@ -328,9 +323,7 @@ impl Supercomputer {
             fabric,
             jobs: BTreeMap::new(),
             next_id: 0,
-            link_rate_gbps: LinkRate::for_spec(spec).gb_per_s(),
-            ici_alpha_s: spec.collective_latency().ici_hop_s,
-            collective: spec.collective_schedule(),
+            collectives: CollectiveBackend::for_spec(spec),
         }
     }
 
@@ -343,19 +336,6 @@ impl Supercomputer {
         let spec = MachineSpec::for_generation(&generation)
             .unwrap_or_else(|| panic!("no built-in machine spec for {generation}")); // tpu-lint: allow(panic-policy) -- every built-in Generation ships a spec; only user JSON specs can be absent
         Supercomputer::for_spec(&spec)
-    }
-
-    /// A machine over a custom OCS fabric (e.g. partially deployed), at
-    /// the v4 ICI link rate.
-    pub fn with_fabric(fabric: Fabric) -> Supercomputer {
-        Supercomputer {
-            fabric: MachineFabric::Torus(fabric),
-            jobs: BTreeMap::new(),
-            next_id: 0,
-            link_rate_gbps: LinkRate::TPU_V4_ICI.gb_per_s(),
-            ici_alpha_s: LatencySpec::reference().ici_hop_s,
-            collective: CollectiveSpec::reference(),
-        }
     }
 
     /// The interconnect backing the machine.
@@ -649,85 +629,34 @@ impl Supercomputer {
         }
     }
 
-    /// Steady-state time of a collective on a job's slice, seconds —
-    /// latency-aware on both fabric families (DESIGN.md §7 alphas),
-    /// through the collective-schedule IR: the spec's `ring`/`tree`/
-    /// `auto` policy selects a schedule and this method prices it
-    /// (DESIGN.md §10).
+    /// Steady-state time of a collective on a job's slice, seconds,
+    /// priced by the machine's [`CollectiveBackend`] (DESIGN.md §7
+    /// alphas, the spec's `ring`/`tree`/`auto` policy of DESIGN.md §10).
     ///
-    /// On a torus machine — OCS-stitched or statically cabled; static
-    /// cabling changes placement, not steady-state link performance
-    /// (DESIGN.md §9) — all-reduce uses the analytic multi-ring torus
-    /// schedule (with per-hop alpha on every ring step) and all-to-all
-    /// the per-link load model over the job's chip graph (the actual,
-    /// possibly twisted, materialized graph on OCS machines; the regular
-    /// torus of the request's shape on static ones) plus the slice
-    /// diameter's pipeline latency. On a switched machine both dispatch
-    /// to the hierarchical island + fat-tree schedules of
-    /// [`tpu_net::switched`] — the §7.3 comparison is these arms.
+    /// Only the all-to-all graph depends on the placement: an OCS slice
+    /// passes its materialized (possibly twisted) chip graph, while a
+    /// static slice is always regularly wired, so the backend uses the
+    /// plain torus of the request's shape (static cabling changes
+    /// placement, not the links — DESIGN.md §9). A switched machine has
+    /// no slice geometry and prices the slice's chip count on its
+    /// island + fat-tree schedules; the §7.3 comparison is these arms.
     ///
     /// # Errors
     ///
     /// Returns [`SupercomputerError::UnknownJob`] if absent.
     pub fn collective_time(&self, id: JobId, op: Collective) -> Result<f64> {
         let job = self.job(id)?;
-        match (&self.fabric, job.placement()) {
-            (
-                MachineFabric::Torus(_) | MachineFabric::StaticTorus(_),
-                placement @ (Placement::Torus(_) | Placement::Static { .. }),
-            ) => {
-                // One torus cost model for both cabling styles — static
-                // cabling changes placement, not the links. Only the
-                // all-to-all graph differs: the materialized (possibly
-                // twisted) graph on OCS slices, the plain torus of the
-                // request's shape on static ones (always regularly wired).
-                let rate = LinkRate::from_gb_per_s(self.link_rate_gbps);
-                let link = AlphaBeta::new(self.ici_alpha_s, rate);
-                let shape = job.spec().slice().shape();
-                match op {
-                    Collective::AllReduce { bytes } => {
-                        // The spec's ring/tree/auto policy selects the
-                        // schedule; the IR prices it (on a torus, auto
-                        // resolves to the multi-path ring).
-                        let (_, schedule) = link.torus_all_reduce_schedule(
-                            shape,
-                            bytes as f64,
-                            TorusPaths::MultiPath,
-                            self.collective,
-                        );
-                        Ok(schedule.time())
-                    }
-                    Collective::AllToAll { bytes_per_pair } => {
-                        let analysis = match placement {
-                            Placement::Torus(slice) => {
-                                AllToAll::analyze(slice.chip_graph(), bytes_per_pair, rate)
-                            }
-                            _ => AllToAll::analyze(
-                                &Torus::new(shape).into_graph(),
-                                bytes_per_pair,
-                                rate,
-                            ),
-                        };
-                        // The twist changes link loads, not the pipeline
-                        // depth: the alpha term is the shape diameter.
-                        Ok(analysis.completion_time()
-                            + f64::from(torus_diameter_hops(shape)) * link.alpha_s)
-                    }
-                }
+        let shape = job.spec().slice().shape();
+        Ok(match op {
+            Collective::AllReduce { bytes } => {
+                self.collectives.all_reduce_time(shape, bytes as f64)
             }
-            (MachineFabric::Switched(cluster), placement) => {
-                let chips = placement.chips();
-                match op {
-                    Collective::AllReduce { bytes } => {
-                        Ok(cluster.model().all_reduce_time(chips, bytes as f64))
-                    }
-                    Collective::AllToAll { bytes_per_pair } => Ok(cluster
-                        .model()
-                        .all_to_all_time(chips, bytes_per_pair as f64)),
-                }
-            }
-            _ => unreachable!("each fabric family only creates its own placements"),
-        }
+            Collective::AllToAll { bytes_per_pair } => self.collectives.all_to_all_time_on(
+                shape,
+                job.slice().map(MaterializedSlice::chip_graph),
+                bytes_per_pair as f64,
+            ),
+        })
     }
 }
 

@@ -34,7 +34,7 @@ use crate::schedule::{self, CollectiveSchedule, ScheduleAlgorithm, TorusPaths};
 use crate::units::LinkRate;
 use serde::{Deserialize, Serialize};
 use tpu_spec::{CollectiveSpec, FabricKind, LatencySpec, MachineSpec, ProcessorStyle};
-use tpu_topology::{SliceShape, Torus};
+use tpu_topology::{LinkGraph, SliceShape, Torus};
 
 /// How the chips inside one glueless island are wired.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -395,9 +395,9 @@ pub(crate) fn island_shape(chips: u32) -> SliceShape {
 
 /// The collective-performance backend a machine spec selects: the
 /// analytic torus models for ICI machines, [`SwitchedFabric`] for
-/// `torus_dims == 0`. This is the one code path behind
+/// `torus_dims == 0`. This is the one place a collective is priced:
 /// `Supercomputer::collective_time`, the workload interconnect models and
-/// the `tpu-bench` §7 tables.
+/// the `tpu-bench` §7 tables all call it.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum CollectiveBackend {
     /// An ICI torus at a per-link alpha-beta (OCS-stitched or statically
@@ -471,15 +471,37 @@ impl CollectiveBackend {
     }
 
     /// Uniform all-to-all time with `bytes_per_pair` between every
-    /// ordered pair of chips in a slice of `shape`. Fractional per-pair
-    /// payloads are kept fractional on every branch (torus, crossbar and
-    /// NIC); the torus alpha term is the slice diameter's pipeline depth.
+    /// ordered pair of chips in a regularly wired slice of `shape`.
+    /// Fractional per-pair payloads are kept fractional on every branch
+    /// (torus, crossbar and NIC); the torus alpha term is the slice
+    /// diameter's pipeline depth.
     pub fn all_to_all_time(&self, shape: SliceShape, bytes_per_pair: f64) -> f64 {
+        self.all_to_all_time_on(shape, None, bytes_per_pair)
+    }
+
+    /// [`CollectiveBackend::all_to_all_time`] over the slice's actual
+    /// chip graph: a materialized OCS slice passes its (possibly
+    /// twisted) links, and `None` means the regular torus of `shape`.
+    /// A twist changes link loads, not the pipeline depth, so the alpha
+    /// term stays the shape's diameter. The switched backend has no
+    /// slice geometry and ignores the graph.
+    pub fn all_to_all_time_on(
+        &self,
+        shape: SliceShape,
+        graph: Option<&LinkGraph>,
+        bytes_per_pair: f64,
+    ) -> f64 {
         match self {
             CollectiveBackend::Torus { link, .. } => {
-                let graph = Torus::new(shape).into_graph();
-                AllToAll::analyze_fractional(&graph, bytes_per_pair, link.rate).completion_time()
-                    + f64::from(torus_diameter_hops(shape)) * link.alpha_s
+                let loads = match graph {
+                    Some(graph) => AllToAll::analyze_fractional(graph, bytes_per_pair, link.rate),
+                    None => AllToAll::analyze_fractional(
+                        &Torus::new(shape).into_graph(),
+                        bytes_per_pair,
+                        link.rate,
+                    ),
+                };
+                loads.completion_time() + f64::from(torus_diameter_hops(shape)) * link.alpha_s
             }
             CollectiveBackend::Switched(fabric) => {
                 fabric.all_to_all_time(shape.volume(), bytes_per_pair)
