@@ -331,12 +331,8 @@ pub fn schedule_crossover() -> String {
         let shape = SliceShape::new(8, 8, 8).expect("valid"); // tpu-lint: allow(panic-policy) -- shape literals are nonzero paper constants
         let mut picks = Vec::new();
         for bytes in [1024.0, small_bytes, bert_bytes] {
-            let (algorithm, _) = link.torus_all_reduce_schedule(
-                shape,
-                bytes,
-                tpu_net::TorusPaths::MultiPath,
-                spec.collective_schedule(),
-            );
+            let (algorithm, _) =
+                link.torus_all_reduce_schedule(shape, bytes, spec.collective_schedule());
             picks.push(algorithm.label());
         }
         let _ = writeln!(

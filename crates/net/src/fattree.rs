@@ -1,8 +1,11 @@
-//! The InfiniBand alternative of §7.3: a hybrid ICI/IB network where 8-chip
-//! ICI islands are joined by a 3-level fat tree, compared against the
-//! OCS-stitched 3D torus. The collective physics lives in the general
-//! [`switched`](crate::switched) backend; this module keeps the paper-named
-//! §7.3 views ([`FatTree`], [`HybridIciIb`], [`IbComparison`]) on top of it.
+//! The InfiniBand fat tree of §7.3. In the paper's hybrid ICI/IB network
+//! it joins 8-chip ICI islands, compared against the OCS-stitched 3D
+//! torus. The collective physics lives in the general
+//! [`switched`](crate::switched) backend; the §7.3 hybrid itself is
+//! [`SwitchedFabric::v4_ib_reference`](crate::SwitchedFabric::v4_ib_reference),
+//! and the comparison is
+//! [`BackendComparison::between`](crate::BackendComparison::between) on
+//! the `"v4"` and `"v4-ib"` specs.
 //!
 //! Calibration notes (see DESIGN.md §2): the fat tree is full-bisection. The
 //! reference configuration uses utilization 1.0 for all-reduce (ring
@@ -13,11 +16,8 @@
 //! all-reduce and 1.2×–2.4× all-to-all slowdown ranges then emerge from
 //! the bandwidth arithmetic alone.
 
-use crate::switched::{BackendComparison, IslandKind, SwitchedFabric};
 use crate::units::LinkRate;
 use serde::{Deserialize, Serialize};
-use tpu_spec::MachineSpec;
-use tpu_topology::SliceShape;
 
 /// A 3-level folded-Clos (fat tree) InfiniBand fabric.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -78,98 +78,6 @@ impl FatTree {
     }
 }
 
-/// The hybrid network of §7.3: `ici_island` chips share glueless ICI (like
-/// an NVLink DGX group); islands are joined by the fat tree.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct HybridIciIb {
-    /// Chips per ICI island (8 in the §7.3 thought experiment).
-    pub ici_island: u32,
-    /// ICI link rate inside an island.
-    pub ici_rate: LinkRate,
-    /// The inter-island fat tree.
-    pub fat_tree: FatTree,
-}
-
-impl HybridIciIb {
-    /// The §7.3 reference: 8-chip ICI islands over an HDR fat tree.
-    pub fn reference() -> HybridIciIb {
-        HybridIciIb {
-            ici_island: 8,
-            ici_rate: LinkRate::TPU_V4_ICI,
-            fat_tree: FatTree::hdr_reference(),
-        }
-    }
-
-    /// This hybrid as a general [`SwitchedFabric`] (torus islands; the
-    /// physics lives there — this type is kept as the §7.3-named view).
-    pub fn as_switched(self) -> SwitchedFabric {
-        let latency = tpu_spec::LatencySpec::reference();
-        SwitchedFabric {
-            island_chips: self.ici_island,
-            island_kind: IslandKind::Torus,
-            island_rate: self.ici_rate,
-            island_links: 6,
-            fat_tree: self.fat_tree,
-            island_alpha_s: latency.ici_hop_s,
-            nic_alpha_s: latency.nic_s,
-            switch_alpha_s: latency.switch_hop_s,
-            selection: tpu_spec::CollectiveSpec::reference(),
-        }
-    }
-
-    /// Hierarchical all-reduce time of `bytes` over `chips` chips:
-    /// intra-island reduce-scatter (ICI 2×2×2 torus), inter-island
-    /// all-reduce of the shard over IB, intra-island all-gather.
-    pub fn all_reduce_time(self, chips: u64, bytes: f64) -> f64 {
-        self.as_switched().all_reduce_time(chips, bytes)
-    }
-
-    /// All-to-all time: bounded by per-chip NIC injection on the traffic
-    /// leaving each island (the fat tree is full bisection; islands barely
-    /// help uniform all-to-all).
-    pub fn all_to_all_time(self, chips: u64, bytes_per_pair: f64) -> f64 {
-        self.as_switched().all_to_all_time(chips, bytes_per_pair)
-    }
-}
-
-/// Side-by-side comparison of OCS/ICI torus vs hybrid ICI/IB for one slice
-/// (the §7.3 experiment).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct IbComparison {
-    /// Slice shape compared.
-    pub shape: (u32, u32, u32),
-    /// Chip count.
-    pub chips: u64,
-    /// All-reduce slowdown of IB vs ICI torus (>1 means IB slower).
-    pub all_reduce_slowdown: f64,
-    /// All-to-all slowdown of IB vs ICI torus.
-    pub all_to_all_slowdown: f64,
-}
-
-impl IbComparison {
-    /// Compares an OCS torus of `shape` against the hybrid reference for an
-    /// all-reduce of `ar_bytes` and an all-to-all of `a2a_bytes_per_pair`.
-    ///
-    /// One code path with the rest of the stack: this is
-    /// [`BackendComparison::between`] on the v4 and `"v4-ib"` machine
-    /// specs.
-    pub fn compare(shape: SliceShape, ar_bytes: f64, a2a_bytes_per_pair: f64) -> IbComparison {
-        let cmp = BackendComparison::between(
-            &MachineSpec::v4(),
-            &MachineSpec::v4_ib_hybrid(),
-            shape,
-            ar_bytes,
-            a2a_bytes_per_pair,
-        );
-        IbComparison {
-            shape: cmp.shape,
-            chips: cmp.chips,
-            all_reduce_slowdown: cmp.all_reduce_slowdown,
-            all_to_all_slowdown: cmp.all_to_all_slowdown,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -180,77 +88,6 @@ mod tests {
         assert_eq!(ft.estimated_switches(1120), 164);
         assert_eq!(ft.estimated_switches(4096), 568);
         assert!(ft.estimated_switches(1) >= 1);
-    }
-
-    #[test]
-    fn hybrid_matches_general_switched_model() {
-        let h = HybridIciIb::reference();
-        assert_eq!(h.as_switched(), SwitchedFabric::v4_ib_reference());
-        assert_eq!(
-            h.all_reduce_time(512, 1e9),
-            SwitchedFabric::v4_ib_reference().all_reduce_time(512, 1e9)
-        );
-    }
-
-    #[test]
-    fn all_reduce_slowdown_in_paper_range() {
-        // §7.3: "an optimized all-reduce would run 1.8x–2.4x slower"
-        // depending on the slice size.
-        let mut seen = Vec::new();
-        for shape in [
-            SliceShape::new(8, 8, 8).unwrap(),
-            SliceShape::new(8, 8, 16).unwrap(),
-            SliceShape::new(8, 16, 16).unwrap(),
-            SliceShape::new(16, 16, 16).unwrap(),
-        ] {
-            let cmp = IbComparison::compare(shape, 1e9, 4096.0);
-            assert!(
-                cmp.all_reduce_slowdown > 1.4 && cmp.all_reduce_slowdown < 3.0,
-                "{shape:?}: {}",
-                cmp.all_reduce_slowdown
-            );
-            seen.push(cmp.all_reduce_slowdown);
-        }
-        // At least one configuration must land in the published band.
-        assert!(seen.iter().any(|&s| (1.8..=2.4).contains(&s)), "{seen:?}");
-    }
-
-    #[test]
-    fn all_to_all_slowdown_in_paper_range() {
-        // §7.3: "an all-to-all would be 1.2x–2.4x slower".
-        let mut seen = Vec::new();
-        for shape in [
-            SliceShape::new(4, 4, 8).unwrap(),
-            SliceShape::new(8, 8, 8).unwrap(),
-            SliceShape::new(8, 8, 16).unwrap(),
-        ] {
-            let cmp = IbComparison::compare(shape, 1e9, 4096.0);
-            assert!(
-                cmp.all_to_all_slowdown > 1.0 && cmp.all_to_all_slowdown < 3.2,
-                "{shape:?}: {}",
-                cmp.all_to_all_slowdown
-            );
-            seen.push(cmp.all_to_all_slowdown);
-        }
-        assert!(seen.iter().any(|&s| (1.2..=2.4).contains(&s)), "{seen:?}");
-    }
-
-    #[test]
-    fn hybrid_degenerates_gracefully() {
-        let h = HybridIciIb::reference();
-        assert_eq!(h.all_reduce_time(1, 1e9), 0.0);
-        assert_eq!(h.all_to_all_time(1, 1e9), 0.0);
-        // Within one island there is no IB at all.
-        let t8 = h.all_reduce_time(8, 1e9);
-        assert!(t8 > 0.0);
-    }
-
-    #[test]
-    fn ib_all_reduce_slower_with_more_chips() {
-        let h = HybridIciIb::reference();
-        let t512 = h.all_reduce_time(512, 1e9);
-        let t4096 = h.all_reduce_time(4096, 1e9);
-        assert!(t4096 >= t512);
     }
 
     #[test]

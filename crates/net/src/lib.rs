@@ -2,9 +2,12 @@
 //!
 //! Three layers, from cheap to detailed:
 //!
-//! 1. **Analytic collectives** ([`collectives`]) — closed-form ring /
-//!    torus all-reduce and bisection-bound all-to-all costs, the models the
-//!    paper's architects reason with (§3.6, §7.3).
+//! 1. **Analytic collectives** ([`CollectiveBackend`]) — alpha-beta
+//!    all-reduce schedules on tori ([`latency`]) and on switched island +
+//!    fat-tree fabrics ([`switched`]), the models the paper's architects
+//!    reason with (§3.6, §7.3). The backend is the one place a collective
+//!    is priced; [`CollectiveBackend::bandwidth_only`] gives the
+//!    bandwidth asymptote.
 //! 2. **Per-link load assignment** ([`load`]) — uniform traffic split over
 //!    all shortest paths (edge betweenness); exact for steady-state
 //!    bandwidth-bound operation and the engine behind the Figure 6
@@ -20,7 +23,7 @@
 //! `ring`/`tree`/`auto` selection of `tpu_spec::CollectiveSpec` choosing
 //! between algorithms per payload and scale (DESIGN.md §10).
 //!
-//! The InfiniBand alternative of §7.3 is modelled in [`fattree`]; the
+//! The InfiniBand fat tree of §7.3 is modelled in [`fattree`]; the
 //! general switched (NVLink-island + fat-tree) backend that machines with
 //! `torus_dims == 0` dispatch to — and the [`CollectiveBackend`] selector
 //! the upper layers share — live in [`switched`].
@@ -43,7 +46,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod collectives;
 pub mod event;
 pub mod fattree;
 pub mod flows;
@@ -54,13 +56,12 @@ pub mod schedule;
 pub mod switched;
 mod units;
 
-pub use collectives::{mesh_all_reduce_time, torus_all_gather_time, torus_all_reduce_time};
 pub use event::{FlowSim, SimReport};
-pub use fattree::{FatTree, HybridIciIb, IbComparison};
+pub use fattree::FatTree;
 pub use flows::{all_to_all_flows, ring_all_reduce_flows, Flow};
 pub use latency::{torus_diameter_hops, AlphaBeta};
 pub use load::{AllToAll, LinkLoads};
 pub use rings::DimensionRings;
-pub use schedule::{CollectiveSchedule, ScheduleAlgorithm, SchedulePhase, TorusPaths};
+pub use schedule::{CollectiveSchedule, ScheduleAlgorithm, SchedulePhase};
 pub use switched::{BackendComparison, CollectiveBackend, IslandKind, SwitchedFabric};
 pub use units::LinkRate;

@@ -10,8 +10,8 @@
 //! decision instead of a formula baked into each backend: real
 //! NCCL-class stacks switch from rings to trees as participant count
 //! grows and payload shrinks, and modeling that selection is what the
-//! large-scale tail of Figure 15 turns on (§7.9). [`select`] implements
-//! the crossover-aware `ring`/`tree`/`auto` policy of
+//! large-scale tail of Figure 15 turns on (§7.9). [`select_with`]
+//! implements the crossover-aware `ring`/`tree`/`auto` policy of
 //! `tpu_spec::CollectiveSpec` (calibration notes: DESIGN.md §10).
 
 use crate::units::LinkRate;
@@ -37,20 +37,6 @@ impl ScheduleAlgorithm {
             ScheduleAlgorithm::Tree => "tree",
         }
     }
-}
-
-/// How a torus all-reduce drives its dimension rings — the axis the old
-/// two-variant `AllReduceSchedule` enum hard-coded, now a builder input.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum TorusPaths {
-    /// One dimension's links busy at a time (reduce-scatter x, y, z then
-    /// all-gather z, y, x).
-    Sequential,
-    /// Payload split across the dimension orderings so every dimension's
-    /// links run concurrently (the "optimized all-reduce" of §7.3). Only
-    /// the bandwidth term divides — each ordering still serializes every
-    /// dimension's alpha steps.
-    MultiPath,
 }
 
 /// One phase of a collective schedule: `steps` serialized steps, each
@@ -243,11 +229,11 @@ pub fn tree_all_reduce(p: u64, bytes: f64, wire: f64, alpha_s: f64) -> Collectiv
 /// (or tree) pass per non-degenerate dimension, the payload shrinking by
 /// each dimension's extent as it is scattered.
 ///
-/// `paths` controls link concurrency: [`TorusPaths::MultiPath`] splits
-/// the payload across the dimension orderings (bandwidth ÷ active
-/// dimensions; the alpha steps stay serialized — every ordering still
-/// traverses every dimension). Wraparound links give each ring both
-/// directions (`wire = 2 × rate`); [`mesh_all_reduce`] drops that.
+/// The payload is split across the dimension orderings so every
+/// dimension's links run concurrently (the "optimized all-reduce" of
+/// §7.3): bandwidth ÷ active dimensions, while the alpha steps stay
+/// serialized — every ordering still traverses every dimension.
+/// Wraparound links give each ring both directions (`wire = 2 × rate`).
 ///
 /// A [`ScheduleAlgorithm::Tree`] torus schedule pays the same total
 /// per-hop alpha as the ring (halving-doubling partners sit `2ⁱ` hops
@@ -260,51 +246,12 @@ pub fn torus_all_reduce(
     bytes: f64,
     rate: LinkRate,
     alpha_s: f64,
-    paths: TorusPaths,
     algorithm: ScheduleAlgorithm,
 ) -> CollectiveSchedule {
-    torus_passes(
-        shape,
-        bytes,
-        2.0 * rate.bytes_per_s(),
-        alpha_s,
-        paths,
-        algorithm,
-    )
-}
-
-/// [`torus_all_reduce`] on a mesh (no wraparound links): each ring loses
-/// its second direction, halving the usable collective bandwidth (§2.6).
-pub fn mesh_all_reduce(
-    shape: SliceShape,
-    bytes: f64,
-    rate: LinkRate,
-    alpha_s: f64,
-) -> CollectiveSchedule {
-    torus_passes(
-        shape,
-        bytes,
-        rate.bytes_per_s(),
-        alpha_s,
-        TorusPaths::Sequential,
-        ScheduleAlgorithm::Ring,
-    )
-}
-
-fn torus_passes(
-    shape: SliceShape,
-    bytes: f64,
-    wire: f64,
-    alpha_s: f64,
-    paths: TorusPaths,
-    algorithm: ScheduleAlgorithm,
-) -> CollectiveSchedule {
+    let wire = 2.0 * rate.bytes_per_s();
     let extents = [shape.x(), shape.y(), shape.z()];
     let active = extents.iter().filter(|&&k| k > 1).count() as f64;
-    let split = match paths {
-        TorusPaths::Sequential => 1.0,
-        TorusPaths::MultiPath => active.max(1.0),
-    };
+    let split = active.max(1.0);
     let mut schedule = CollectiveSchedule::empty();
     let mut volume = bytes;
     for &k in extents.iter().filter(|&&k| k > 1) {
@@ -321,29 +268,6 @@ fn torus_passes(
                 schedule.extend(tree_all_reduce(p, volume / split, wire, hop_alpha));
             }
         }
-        volume /= f64::from(k);
-    }
-    schedule
-}
-
-/// Builds the all-gather schedule of `bytes` on a torus (half an
-/// all-reduce: no reduce-scatter pass).
-pub fn torus_all_gather(
-    shape: SliceShape,
-    bytes: f64,
-    rate: LinkRate,
-    alpha_s: f64,
-) -> CollectiveSchedule {
-    let extents = [shape.x(), shape.y(), shape.z()];
-    let mut schedule = CollectiveSchedule::empty();
-    let mut volume = bytes;
-    for &k in extents.iter().filter(|&&k| k > 1) {
-        schedule.push(all_gather_phase(
-            u64::from(k),
-            volume,
-            2.0 * rate.bytes_per_s(),
-            alpha_s,
-        ));
         volume /= f64::from(k);
     }
     schedule
@@ -383,16 +307,6 @@ pub fn select_with(
             }
         },
     }
-}
-
-/// [`select_with`] over already-built candidates.
-pub fn select(
-    selection: CollectiveSpec,
-    payload_bytes: f64,
-    ring: CollectiveSchedule,
-    tree: CollectiveSchedule,
-) -> (ScheduleAlgorithm, CollectiveSchedule) {
-    select_with(selection, payload_bytes, move || ring, move || tree)
 }
 
 #[cfg(test)]
@@ -466,29 +380,37 @@ mod tests {
     }
 
     #[test]
-    fn torus_multipath_divides_bandwidth_not_alpha() {
-        let shape = SliceShape::new(8, 8, 8).unwrap();
+    fn torus_splits_bandwidth_across_dimensions_not_alpha() {
+        // A 4x1x1 torus is one bidirectional ring; an 8x8x8 cube runs its
+        // three dimensions concurrently, so its bandwidth term is a third
+        // of the dimension-serial sum while every alpha step remains.
         let rate = LinkRate::from_gb_per_s(50.0);
-        let seq = torus_all_reduce(
-            shape,
+        let ring = torus_all_reduce(
+            SliceShape::new(4, 1, 1).unwrap(),
             1e9,
             rate,
             ALPHA,
-            TorusPaths::Sequential,
             ScheduleAlgorithm::Ring,
         );
-        let par = torus_all_reduce(
-            shape,
+        assert_eq!(
+            ring,
+            ring_all_reduce(4, 1e9, 2.0 * rate.bytes_per_s(), ALPHA)
+        );
+        let cube = torus_all_reduce(
+            SliceShape::new(8, 8, 8).unwrap(),
             1e9,
             rate,
             ALPHA,
-            TorusPaths::MultiPath,
             ScheduleAlgorithm::Ring,
         );
-        let ratio = seq.bandwidth_seconds() / par.bandwidth_seconds();
-        assert!((ratio - 3.0).abs() < 1e-12, "{ratio}");
-        assert_eq!(seq.alpha_seconds(), par.alpha_seconds());
-        assert_eq!(seq.total_steps(), par.total_steps());
+        let wire = 2.0 * rate.bytes_per_s();
+        let serial: f64 = [1e9, 1e9 / 8.0, 1e9 / 64.0]
+            .iter()
+            .map(|&v| ring_all_reduce(8, v, wire, 0.0).time())
+            .sum();
+        assert!((serial / cube.bandwidth_seconds() - 3.0).abs() < 1e-12);
+        assert_eq!(cube.total_steps(), 3 * 14);
+        assert!((cube.alpha_seconds() - 42.0 * ALPHA).abs() < 1e-18);
     }
 
     #[test]
@@ -502,22 +424,8 @@ mod tests {
                 SliceShape::new(4, 1, 1).unwrap(),
                 SliceShape::new(16, 16, 16).unwrap(),
             ] {
-                let ring = torus_all_reduce(
-                    shape,
-                    bytes,
-                    rate,
-                    ALPHA,
-                    TorusPaths::MultiPath,
-                    ScheduleAlgorithm::Ring,
-                );
-                let tree = torus_all_reduce(
-                    shape,
-                    bytes,
-                    rate,
-                    ALPHA,
-                    TorusPaths::MultiPath,
-                    ScheduleAlgorithm::Tree,
-                );
+                let ring = torus_all_reduce(shape, bytes, rate, ALPHA, ScheduleAlgorithm::Ring);
+                let tree = torus_all_reduce(shape, bytes, rate, ALPHA, ScheduleAlgorithm::Tree);
                 assert!(
                     ring.time() <= tree.time() + 1e-18,
                     "{shape} at {bytes}: ring {} vs tree {}",
@@ -530,46 +438,30 @@ mod tests {
     }
 
     #[test]
-    fn mesh_halves_the_wire() {
-        let shape = SliceShape::new(4, 4, 4).unwrap();
-        let rate = LinkRate::from_gb_per_s(50.0);
-        let torus = torus_all_reduce(
-            shape,
-            1e9,
-            rate,
-            0.0,
-            TorusPaths::Sequential,
-            ScheduleAlgorithm::Ring,
-        );
-        let mesh = mesh_all_reduce(shape, 1e9, rate, 0.0);
-        assert!((mesh.time() / torus.time() - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn selection_respects_policy_and_crossover() {
         let ring = || ring_all_reduce(1024, 1e5, WIRE, ALPHA);
         let tree = || tree_all_reduce(1024, 1e5, WIRE, ALPHA);
         use tpu_spec::{CollectiveSpec, SchedulePolicy};
 
         // Forced policies ignore the clock.
-        let (algo, _) = select(
+        let (algo, _) = select_with(
             CollectiveSpec::forced(SchedulePolicy::Ring),
             1e5,
-            ring(),
-            tree(),
+            ring,
+            tree,
         );
         assert_eq!(algo, ScheduleAlgorithm::Ring);
-        let (algo, _) = select(
+        let (algo, _) = select_with(
             CollectiveSpec::forced(SchedulePolicy::Tree),
             1e5,
-            ring(),
-            tree(),
+            ring,
+            tree,
         );
         assert_eq!(algo, ScheduleAlgorithm::Tree);
 
         // Auto picks the faster schedule: tree at 100 KB over 1024
         // members (the computed case above).
-        let (algo, chosen) = select(CollectiveSpec::reference(), 1e5, ring(), tree());
+        let (algo, chosen) = select_with(CollectiveSpec::reference(), 1e5, ring, tree);
         assert_eq!(algo, ScheduleAlgorithm::Tree);
         assert_eq!(chosen, tree());
 
@@ -578,13 +470,13 @@ mod tests {
             schedule: SchedulePolicy::Auto,
             crossover_bytes: Some(1e4),
         };
-        let (algo, _) = select(forced_ring, 1e5, ring(), tree());
+        let (algo, _) = select_with(forced_ring, 1e5, ring, tree);
         assert_eq!(algo, ScheduleAlgorithm::Ring);
         let forced_tree = CollectiveSpec {
             schedule: SchedulePolicy::Auto,
             crossover_bytes: Some(1e9),
         };
-        let (algo, _) = select(forced_tree, 1e5, ring(), tree());
+        let (algo, _) = select_with(forced_tree, 1e5, ring, tree);
         assert_eq!(algo, ScheduleAlgorithm::Tree);
     }
 

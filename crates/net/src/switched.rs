@@ -30,7 +30,7 @@
 use crate::fattree::FatTree;
 use crate::latency::{torus_diameter_hops, AlphaBeta};
 use crate::load::AllToAll;
-use crate::schedule::{self, CollectiveSchedule, ScheduleAlgorithm, TorusPaths};
+use crate::schedule::{self, CollectiveSchedule, ScheduleAlgorithm};
 use crate::units::LinkRate;
 use serde::{Deserialize, Serialize};
 use tpu_spec::{CollectiveSpec, FabricKind, LatencySpec, MachineSpec, ProcessorStyle};
@@ -178,7 +178,7 @@ impl SwitchedFabric {
         }
         match self.island_kind {
             IslandKind::Torus => AlphaBeta::new(self.island_alpha_s, self.island_rate)
-                .torus_ring_schedule(island_shape(chips), bytes, TorusPaths::MultiPath),
+                .torus_ring_schedule(island_shape(chips), bytes),
             IslandKind::Crossbar => schedule::ring_all_reduce(
                 u64::from(chips),
                 bytes,
@@ -455,8 +455,7 @@ impl CollectiveBackend {
     pub fn all_reduce_schedule(&self, shape: SliceShape, bytes: f64) -> CollectiveSchedule {
         match self {
             CollectiveBackend::Torus { link, selection } => {
-                link.torus_all_reduce_schedule(shape, bytes, TorusPaths::MultiPath, *selection)
-                    .1
+                link.torus_all_reduce_schedule(shape, bytes, *selection).1
             }
             CollectiveBackend::Switched(fabric) => {
                 fabric.all_reduce_schedule(shape.volume(), bytes)
@@ -632,6 +631,24 @@ mod tests {
     }
 
     #[test]
+    fn hybrid_degenerates_gracefully() {
+        let h = SwitchedFabric::v4_ib_reference();
+        assert_eq!(h.all_reduce_time(1, 1e9), 0.0);
+        assert_eq!(h.all_to_all_time(1, 1e9), 0.0);
+        // Within one island there is no IB at all.
+        let t8 = h.all_reduce_time(8, 1e9);
+        assert!(t8 > 0.0);
+    }
+
+    #[test]
+    fn ib_all_reduce_slower_with_more_chips() {
+        let h = SwitchedFabric::v4_ib_reference();
+        let t512 = h.all_reduce_time(512, 1e9);
+        let t4096 = h.all_reduce_time(4096, 1e9);
+        assert!(t4096 >= t512);
+    }
+
+    #[test]
     fn all_reduce_is_monotone_in_chips_and_bytes() {
         let f = SwitchedFabric::nvlink_a100();
         let t512 = f.all_reduce_time(512, 1e9);
@@ -693,11 +710,9 @@ mod tests {
         let s = shape(8, 8, 8);
         let torus = CollectiveBackend::for_spec(&MachineSpec::v4());
         assert!(!torus.is_switched());
-        let direct = AlphaBeta::for_spec(&MachineSpec::v4()).torus_all_reduce_time(
-            s,
-            1e9,
-            TorusPaths::MultiPath,
-        );
+        let direct = AlphaBeta::for_spec(&MachineSpec::v4())
+            .torus_ring_schedule(s, 1e9)
+            .time();
         assert_eq!(torus.all_reduce_time(s, 1e9), direct);
 
         let switched = CollectiveBackend::for_spec(&MachineSpec::a100());
@@ -759,7 +774,11 @@ mod tests {
 
     #[test]
     fn crossover_payloads_sit_between_regimes() {
-        for spec in [MachineSpec::a100(), MachineSpec::v4_ib_hybrid()] {
+        for spec in [
+            MachineSpec::v4(),
+            MachineSpec::a100(),
+            MachineSpec::v4_ib_hybrid(),
+        ] {
             let backend = CollectiveBackend::for_spec(&spec);
             let s = shape(8, 8, 8);
             let crossover = backend.all_reduce_crossover_bytes(s);
