@@ -85,6 +85,9 @@ use tpu_topology::SliceShape;
 const STREAM_JOBS: u64 = 1;
 /// Stream discriminator for the host-health RNG.
 const STREAM_HEALTH: u64 = 2;
+/// Share of arriving jobs in the production tier; the rest are
+/// best-effort.
+const PRODUCTION_SHARE: f64 = 0.25;
 
 /// The discrete-event fleet simulator (see the module docs).
 ///
@@ -98,7 +101,6 @@ pub struct FleetSim {
     horizon_s: f64,
     seed: u64,
     profile: FleetSpec,
-    production_share: f64,
     probe_slice_chips: u64,
     preemption: bool,
     record_events: bool,
@@ -133,7 +135,6 @@ impl FleetSim {
             model,
             horizon_s,
             seed,
-            production_share: 0.25,
             probe_slice_chips: u64::from(quarter_blocks) * u64::from(chips_per_unit),
             preemption: true,
             record_events: false,
@@ -152,15 +153,6 @@ impl FleetSim {
     #[must_use]
     pub fn with_profile(mut self, profile: FleetSpec) -> FleetSim {
         self.profile = profile;
-        self
-    }
-
-    /// Sets the share of arriving jobs in the production tier (the rest
-    /// are best-effort). Must be in [0, 1].
-    #[must_use]
-    pub fn with_production_share(mut self, share: f64) -> FleetSim {
-        assert!((0.0..=1.0).contains(&share), "share must be in [0, 1]");
-        self.production_share = share;
         self
     }
 
@@ -906,7 +898,7 @@ impl<'a> Engine<'a> {
             SliceShape::new(1, 1, chips as u32).expect("positive chip count")
         };
         let duration = -profile.mean_duration_s * (1.0 - rng.random::<f64>()).ln();
-        let production = rng.random::<f64>() < self.sim.production_share;
+        let production = rng.random::<f64>() < PRODUCTION_SHARE;
         self.jobs.insert(
             self.draw.next_idx,
             DrawnJob {
