@@ -8,9 +8,9 @@
 //! cargo run --release -p tpu-bench --bin repro
 //! ```
 //!
-//! or a single experiment with `--only fig6` etc. Criterion benchmarks of
-//! the same generators (plus the DESIGN.md ablations) live under
-//! `benches/`.
+//! or chosen experiments by id (`repro -- fig6 sec7_3`; `--list` prints
+//! the ids). Performance is measured by the repository benchmark in
+//! `perfbench/`, not here.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
