@@ -291,8 +291,8 @@ pub struct Supercomputer {
     fabric: MachineFabric,
     jobs: BTreeMap<JobId, RunningJob>,
     next_id: u64,
-    /// Prices every collective: the spec's link rate, latency and
-    /// schedule policy live here, not in copies on the machine.
+    /// Prices every collective at the spec's link rate, latency and
+    /// schedule policy.
     collectives: CollectiveBackend,
 }
 
