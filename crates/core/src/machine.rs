@@ -19,7 +19,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use tpu_net::CollectiveBackend;
 use tpu_ocs::{BlockId, Fabric, MaterializedSlice, SliceSpec};
-use tpu_spec::{FabricKind, Generation, MachineSpec};
+use tpu_spec::{FabricKind, MachineSpec};
 
 /// Identifier of a running job.
 #[derive(
@@ -325,17 +325,6 @@ impl Supercomputer {
             next_id: 0,
             collectives: CollectiveBackend::for_spec(spec),
         }
-    }
-
-    /// The fleet-scale machine of a built-in generation.
-    ///
-    /// # Panics
-    ///
-    /// Panics for a [`Generation::Custom`] label without a built-in spec.
-    pub fn for_generation(generation: Generation) -> Supercomputer {
-        let spec = MachineSpec::for_generation(&generation)
-            .unwrap_or_else(|| panic!("no built-in machine spec for {generation}")); // tpu-lint: allow(panic-policy) -- every built-in Generation ships a spec; only user JSON specs can be absent
-        Supercomputer::for_spec(&spec)
     }
 
     /// The interconnect backing the machine.
@@ -671,7 +660,7 @@ mod tests {
 
     #[test]
     fn submit_run_finish() {
-        let mut sc = Supercomputer::for_generation(Generation::V4);
+        let mut sc = Supercomputer::for_spec(&MachineSpec::v4());
         assert_eq!(sc.total_chips(), 4096);
         let id = sc
             .submit(JobSpec::new("a", SliceSpec::regular(shape(8, 8, 8))))
@@ -686,9 +675,9 @@ mod tests {
     fn generation_parameterized_machines_compose() {
         // The same submit -> collective_time flow runs on every TPU
         // generation's fleet.
-        let mut v3 = Supercomputer::for_generation(Generation::V3);
+        let mut v3 = Supercomputer::for_spec(&MachineSpec::v3());
         assert_eq!(v3.total_chips(), 1024);
-        let mut v4 = Supercomputer::for_generation(Generation::V4);
+        let mut v4 = Supercomputer::for_spec(&MachineSpec::v4());
         assert_eq!(v4.total_chips(), 4096);
 
         let op = Collective::AllReduce { bytes: 1 << 30 };
@@ -708,7 +697,7 @@ mod tests {
 
     #[test]
     fn unknown_job_errors() {
-        let mut sc = Supercomputer::for_generation(Generation::V4);
+        let mut sc = Supercomputer::for_spec(&MachineSpec::v4());
         let err = sc.finish(JobId::new(99)).unwrap_err();
         assert_eq!(
             err,
@@ -720,7 +709,7 @@ mod tests {
 
     #[test]
     fn many_jobs_share_the_machine() {
-        let mut sc = Supercomputer::for_generation(Generation::V4);
+        let mut sc = Supercomputer::for_spec(&MachineSpec::v4());
         let mut ids = Vec::new();
         // 64 single-block jobs fill the machine.
         for i in 0..64 {
@@ -745,7 +734,7 @@ mod tests {
 
     #[test]
     fn failure_routes_around_block() {
-        let mut sc = Supercomputer::for_generation(Generation::V4);
+        let mut sc = Supercomputer::for_spec(&MachineSpec::v4());
         sc.inject_host_failure(BlockId::new(0), 3).unwrap();
         // A 63-block machine still fits 63 block-jobs but not 64.
         for i in 0..63 {
@@ -766,7 +755,7 @@ mod tests {
 
     #[test]
     fn reconfigure_to_twisted_keeps_blocks() {
-        let mut sc = Supercomputer::for_generation(Generation::V4);
+        let mut sc = Supercomputer::for_spec(&MachineSpec::v4());
         let id = sc
             .submit(JobSpec::new("t", SliceSpec::regular(shape(4, 4, 8))))
             .unwrap();
@@ -780,7 +769,7 @@ mod tests {
 
     #[test]
     fn reconfigure_rolls_back_on_failure() {
-        let mut sc = Supercomputer::for_generation(Generation::V4);
+        let mut sc = Supercomputer::for_spec(&MachineSpec::v4());
         let id = sc
             .submit(JobSpec::new("t", SliceSpec::regular(shape(4, 4, 8))))
             .unwrap();
@@ -795,7 +784,7 @@ mod tests {
 
     #[test]
     fn twisted_all_to_all_beats_regular() {
-        let mut sc = Supercomputer::for_generation(Generation::V4);
+        let mut sc = Supercomputer::for_spec(&MachineSpec::v4());
         let reg = sc
             .submit(JobSpec::new("r", SliceSpec::regular(shape(4, 4, 8))))
             .unwrap();
@@ -925,7 +914,7 @@ mod tests {
     #[test]
     fn v4_ib_hybrid_slower_than_ocs_torus() {
         // The §7.3 headline, through the Supercomputer API end to end.
-        let mut torus = Supercomputer::for_generation(Generation::V4);
+        let mut torus = Supercomputer::for_spec(&MachineSpec::v4());
         let mut ib = Supercomputer::for_spec(&MachineSpec::v4_ib_hybrid());
         let s = SliceSpec::regular(shape(8, 8, 8));
         let jt = torus.submit(JobSpec::new("t", s)).unwrap();
@@ -940,7 +929,7 @@ mod tests {
 
     #[test]
     fn all_reduce_time_positive_and_scales() {
-        let mut sc = Supercomputer::for_generation(Generation::V4);
+        let mut sc = Supercomputer::for_spec(&MachineSpec::v4());
         let id = sc
             .submit(JobSpec::new("ar", SliceSpec::regular(shape(8, 8, 8))))
             .unwrap();

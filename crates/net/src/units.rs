@@ -2,7 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use tpu_spec::{consts, Generation, MachineSpec};
+use tpu_spec::{consts, MachineSpec};
 
 /// A link data rate in bytes per second (one direction of a cable).
 ///
@@ -26,17 +26,6 @@ impl LinkRate {
     /// The per-link ICI rate a machine spec declares.
     pub fn for_spec(spec: &MachineSpec) -> LinkRate {
         LinkRate::from_bytes_per_s(spec.ici_bytes_per_s())
-    }
-
-    /// The per-link ICI rate of a built-in generation.
-    ///
-    /// # Panics
-    ///
-    /// Panics for a [`Generation::Custom`] label without a built-in spec.
-    pub fn for_generation(generation: &Generation) -> LinkRate {
-        let spec = MachineSpec::for_generation(generation)
-            .unwrap_or_else(|| panic!("no built-in machine spec for {generation}")); // tpu-lint: allow(panic-policy) -- every built-in Generation ships a spec; only user JSON specs can be absent
-        LinkRate::for_spec(&spec)
     }
 
     /// Creates a rate from bytes per second.
@@ -124,17 +113,8 @@ mod tests {
 
     #[test]
     fn generation_rates_match_the_constants() {
-        assert_eq!(
-            LinkRate::for_generation(&Generation::V4),
-            LinkRate::TPU_V4_ICI
-        );
-        assert_eq!(
-            LinkRate::for_generation(&Generation::V3),
-            LinkRate::TPU_V3_ICI
-        );
-        assert_eq!(
-            LinkRate::for_generation(&Generation::V2),
-            LinkRate::TPU_V2_ICI
-        );
+        assert_eq!(LinkRate::for_spec(&MachineSpec::v4()), LinkRate::TPU_V4_ICI);
+        assert_eq!(LinkRate::for_spec(&MachineSpec::v3()), LinkRate::TPU_V3_ICI);
+        assert_eq!(LinkRate::for_spec(&MachineSpec::v2()), LinkRate::TPU_V2_ICI);
     }
 }

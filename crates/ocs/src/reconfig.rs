@@ -94,12 +94,12 @@ impl ReconfigPlan {
 mod tests {
     use super::*;
     use crate::fabric::{Fabric, SliceSpec};
-    use tpu_spec::Generation;
+    use tpu_spec::MachineSpec;
     use tpu_topology::SliceShape;
 
     fn twist_pair() -> (MaterializedSlice, MaterializedSlice) {
         let shape = SliceShape::new(4, 4, 8).unwrap();
-        let mut fabric = Fabric::for_generation(&Generation::V4);
+        let mut fabric = Fabric::for_spec(&MachineSpec::v4());
         let regular = fabric.allocate(&SliceSpec::regular(shape)).unwrap();
         let blocks = regular.blocks().to_vec();
         fabric.release(&regular).unwrap();
@@ -129,7 +129,7 @@ mod tests {
     #[test]
     fn identity_reconfiguration_is_free() {
         let shape = SliceShape::new(4, 4, 8).unwrap();
-        let mut fabric = Fabric::for_generation(&Generation::V4);
+        let mut fabric = Fabric::for_spec(&MachineSpec::v4());
         let a = fabric.allocate(&SliceSpec::regular(shape)).unwrap();
         let blocks = a.blocks().to_vec();
         fabric.release(&a).unwrap();
@@ -160,7 +160,7 @@ mod tests {
     #[should_panic(expected = "identical block sets")]
     fn different_blocks_rejected() {
         let shape = SliceShape::new(4, 4, 8).unwrap();
-        let mut fabric = Fabric::for_generation(&Generation::V4);
+        let mut fabric = Fabric::for_spec(&MachineSpec::v4());
         let a = fabric.allocate(&SliceSpec::regular(shape)).unwrap();
         let b = fabric.allocate(&SliceSpec::regular(shape)).unwrap();
         let _ = ReconfigPlan::between(&a, &b);

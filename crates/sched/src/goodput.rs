@@ -22,7 +22,7 @@ use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 use tpu_core::{JobSpec, StaticCluster, Supercomputer};
 use tpu_ocs::{BlockId, SliceSpec};
-use tpu_spec::{FabricKind, Generation, MachineSpec};
+use tpu_spec::{FabricKind, MachineSpec};
 use tpu_topology::{most_cubic_box, SliceShape};
 
 /// Trials per Monte Carlo chunk: the unit of parallel work *and* of RNG
@@ -94,17 +94,6 @@ impl GoodputSim {
     pub fn with_threads(mut self, threads: usize) -> GoodputSim {
         self.threads = threads;
         self
-    }
-
-    /// The fleet of a built-in generation.
-    ///
-    /// # Panics
-    ///
-    /// Panics for a [`Generation::Custom`] label without a built-in spec.
-    pub fn for_generation(generation: &Generation, trials: u32, seed: u64) -> GoodputSim {
-        let spec = MachineSpec::for_generation(generation)
-            .unwrap_or_else(|| panic!("no built-in machine spec for {generation}")); // tpu-lint: allow(panic-policy) -- every built-in Generation ships a spec; only user JSON specs can be absent
-        GoodputSim::for_spec(&spec, trials, seed)
     }
 
     /// Total chips in the machine (whole blocks/islands).
@@ -425,7 +414,7 @@ mod tests {
     use super::*;
 
     fn sim() -> GoodputSim {
-        GoodputSim::for_generation(&Generation::V4, 300, 42)
+        GoodputSim::for_spec(&MachineSpec::v4(), 300, 42)
     }
 
     #[test]
@@ -491,7 +480,7 @@ mod tests {
 
     #[test]
     fn ocs_dominates_static_everywhere() {
-        let s = GoodputSim::for_generation(&Generation::V4, 100, 7);
+        let s = GoodputSim::for_spec(&MachineSpec::v4(), 100, 7);
         for &avail in &[0.99, 0.995, 0.999] {
             for &chips in &[256u64, 512, 1024, 2048] {
                 let ocs = s.goodput(chips, avail, FabricKind::Ocs);
@@ -533,7 +522,7 @@ mod tests {
         // Figure 4 caption: "Goodput is counterintuitive at large
         // slices": 2K slices drop to ~50% (one slice + 50% stranded
         // spares) while 3K slices recover to ~75% (25% spares).
-        let s = GoodputSim::for_generation(&Generation::V4, 150, 3);
+        let s = GoodputSim::for_spec(&MachineSpec::v4(), 150, 3);
         let rows = s.sweep(0.995);
         assert_eq!(rows.len(), 8);
         let at = |chips: u64| rows.iter().find(|r| r.0 == chips).unwrap().1;
@@ -566,7 +555,7 @@ mod tests {
 
     #[test]
     fn deterministic_given_seed() {
-        let mk = || GoodputSim::for_generation(&Generation::V4, 50, 9);
+        let mk = || GoodputSim::for_spec(&MachineSpec::v4(), 50, 9);
         for fabric in [FabricKind::Ocs, FabricKind::Static] {
             let a = mk().goodput(512, 0.99, fabric);
             let b = mk().goodput(512, 0.99, fabric);
@@ -629,7 +618,7 @@ mod tests {
         // Same sim, same query, twice: the second call runs on a clone
         // of the cached pristine arm and must agree exactly (a dirty
         // prototype would skew every later sweep point).
-        let s = GoodputSim::for_generation(&Generation::V4, 60, 11);
+        let s = GoodputSim::for_spec(&MachineSpec::v4(), 60, 11);
         for fabric in [FabricKind::Ocs, FabricKind::Static] {
             let a = s.goodput(1024, 0.995, fabric);
             let b = s.goodput(1024, 0.995, fabric);

@@ -18,9 +18,9 @@
 //! ([`crate::trials`]) — no shared mutable state exists for thread
 //! interleaving to perturb.
 
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 use tpu_core::{StaticCluster, Supercomputer};
-use tpu_spec::{FabricKind, Generation, MachineSpec};
+use tpu_spec::{FabricKind, MachineSpec};
 
 /// Cached pristine fabric-arm prototypes: built on first use, never
 /// mutated afterwards (trials mutate worker-local clones), so sharing
@@ -37,7 +37,7 @@ pub(crate) struct ArmCache {
 /// The immutable, `Send + Sync`, spec-derived half of every simulator:
 /// one machine's scheduling geometry, canonical identity hash, and
 /// lazily-built pristine fabric arms. Construct once per spec, share
-/// via [`Arc`] across as many concurrent queries as needed.
+/// via [`Arc`](std::sync::Arc) across as many concurrent queries as needed.
 #[derive(Debug)]
 pub struct PlannerModel {
     spec: MachineSpec,
@@ -61,17 +61,6 @@ impl PlannerModel {
             hosts_per_block,
             arms: ArmCache::default(),
         }
-    }
-
-    /// The model of a built-in generation, ready to share.
-    ///
-    /// # Panics
-    ///
-    /// Panics for a [`Generation::Custom`] label without a built-in spec.
-    pub fn for_generation(generation: &Generation) -> Arc<PlannerModel> {
-        let spec = MachineSpec::for_generation(generation)
-            .unwrap_or_else(|| panic!("no built-in machine spec for {generation}")); // tpu-lint: allow(panic-policy) -- every built-in Generation ships a spec; only user JSON specs can be absent
-        Arc::new(PlannerModel::for_spec(&spec))
     }
 
     /// The machine spec this model was derived from.
@@ -150,6 +139,7 @@ impl PlannerModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     fn assert_send_sync<T: Send + Sync>() {}
 

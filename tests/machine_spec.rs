@@ -58,8 +58,8 @@ fn every_layer_consumes_the_same_spec() {
 
 #[test]
 fn v3_supercomputer_composes_end_to_end() {
-    // The acceptance flow: for_generation(V3) -> submit -> collective_time.
-    let mut machine = Supercomputer::for_generation(Generation::V3);
+    // The acceptance flow: for_spec(v3) -> submit -> collective_time.
+    let mut machine = Supercomputer::for_spec(&MachineSpec::v3());
     assert_eq!(machine.total_chips(), 1024);
     let job = machine
         .submit(JobSpec::new(
@@ -115,8 +115,8 @@ fn faster_v3_links_show_up_in_collective_times() {
     let shape = SliceShape::new(4, 4, 8).unwrap();
     let op = Collective::AllReduce { bytes: 1 << 30 };
     let mut times = Vec::new();
-    for generation in [Generation::V3, Generation::V4] {
-        let mut machine = Supercomputer::for_generation(generation);
+    for spec in [MachineSpec::v3(), MachineSpec::v4()] {
+        let mut machine = Supercomputer::for_spec(&spec);
         let job = machine
             .submit(JobSpec::new("sweep", SliceSpec::regular(shape)))
             .unwrap();

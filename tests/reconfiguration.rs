@@ -5,7 +5,7 @@
 use tpuv4::net::{AllToAll, LinkRate};
 use tpuv4::ocs::{Fabric, ReconfigPlan, SliceSpec};
 use tpuv4::topology::SliceShape;
-use tpuv4::{Collective, Generation, JobSpec, Supercomputer};
+use tpuv4::{Collective, JobSpec, MachineSpec, Supercomputer};
 
 #[test]
 fn twist_reconfiguration_is_cheap_and_pays_off() {
@@ -13,7 +13,7 @@ fn twist_reconfiguration_is_cheap_and_pays_off() {
     // the same racks, plan the mirror moves, and verify the collective
     // improvement justifies the millisecond-class cost.
     let shape = SliceShape::new(4, 8, 8).unwrap();
-    let mut fabric = Fabric::for_generation(&Generation::V4);
+    let mut fabric = Fabric::for_spec(&MachineSpec::v4());
     let regular = fabric.allocate(&SliceSpec::regular(shape)).unwrap();
     let blocks = regular.blocks().to_vec();
     fabric.release(&regular).unwrap();
@@ -36,7 +36,7 @@ fn twist_reconfiguration_is_cheap_and_pays_off() {
 
 #[test]
 fn supercomputer_reconfigure_roundtrip() {
-    let mut sc = Supercomputer::for_generation(Generation::V4);
+    let mut sc = Supercomputer::for_spec(&MachineSpec::v4());
     let shape = SliceShape::new(4, 4, 8).unwrap();
     let job = sc
         .submit(JobSpec::new("trainer", SliceSpec::regular(shape)))
@@ -83,7 +83,7 @@ fn supercomputer_reconfigure_roundtrip() {
 fn reconfiguration_does_not_disturb_neighbors() {
     // Other tenants' circuits are untouched while one job retopologizes
     // (the §2.6 security/isolation property at the optical layer).
-    let mut sc = Supercomputer::for_generation(Generation::V4);
+    let mut sc = Supercomputer::for_spec(&MachineSpec::v4());
     let bystander = sc
         .submit(JobSpec::new(
             "bystander",
