@@ -64,7 +64,7 @@ pub fn fig9() -> String {
         ("CPU (576 sockets)".into(), cpu),
         (
             "TPU v3 x128".into(),
-            EmbeddingSystem::tpu_v3_slice(128)
+            EmbeddingSystem::for_spec(&MachineSpec::v3(), 128)
                 .step_time(&model, batch, Placement::SparseCore)
                 .total_s(),
         ),

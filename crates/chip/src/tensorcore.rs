@@ -40,15 +40,6 @@ impl TensorCore {
         }
     }
 
-    /// The TPU v3 TensorCore (two MXUs).
-    ///
-    /// Convenience alias; prefer
-    /// [`TensorCore::for_spec`] in new code — the per-generation aliases
-    /// will eventually be deprecated.
-    pub fn tpu_v3() -> TensorCore {
-        TensorCore::for_spec(&MachineSpec::v3())
-    }
-
     /// Peak MAC throughput of one TC, FLOP/s (2 FLOPs per MAC).
     pub fn peak_flops(&self) -> f64 {
         f64::from(self.mxus)
@@ -106,7 +97,7 @@ mod tests {
     #[test]
     fn v3_has_half_the_mxus() {
         let v4 = TensorCore::for_spec(&MachineSpec::v4());
-        let v3 = TensorCore::tpu_v3();
+        let v3 = TensorCore::for_spec(&MachineSpec::v3());
         let ratio = v4.peak_flops() / v3.peak_flops();
         // 2x MXUs x 1.12x clock = the Table 4 "2.2X gain in peak".
         assert!((2.2..2.3).contains(&ratio), "{ratio}");

@@ -6,20 +6,16 @@ use tpu_spec::{consts, MachineSpec};
 
 /// A link data rate in bytes per second (one direction of a cable).
 ///
-/// The constants mirror Table 4/5 of the paper: TPU v4's ICI runs 6 links
-/// at 50 GB/s, TPU v3 4 links at 70 GB/s, and the InfiniBand HDR links of
-/// §7.3 carry 200 Gbit/s = 25 GB/s (ICI link bandwidth "is 2x IB — 400 vs
-/// 200 Gbit/s").
+/// The two constants are the §7.3 comparison: TPU v4's ICI links run at
+/// 50 GB/s, and the InfiniBand HDR links carry 200 Gbit/s = 25 GB/s (ICI
+/// link bandwidth "is 2x IB — 400 vs 200 Gbit/s"). Any other machine's
+/// rate comes from its spec via [`LinkRate::for_spec`].
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
 pub struct LinkRate(f64);
 
 impl LinkRate {
     /// TPU v4 ICI: 50 GB/s per link per direction.
     pub const TPU_V4_ICI: LinkRate = LinkRate(consts::V4_ICI_GBPS * 1e9);
-    /// TPU v3 ICI: 70 GB/s per link per direction.
-    pub const TPU_V3_ICI: LinkRate = LinkRate(consts::V3_ICI_GBPS * 1e9);
-    /// TPU v2 ICI: ~62.5 GB/s per link (500 Gbit/s aggregate over 4 links).
-    pub const TPU_V2_ICI: LinkRate = LinkRate(consts::V2_ICI_GBPS * 1e9);
     /// InfiniBand HDR NIC: 200 Gbit/s = 25 GB/s.
     pub const IB_HDR: LinkRate = LinkRate(consts::IB_HDR_GBPS * 1e9);
 
@@ -79,7 +75,7 @@ mod tests {
     #[test]
     fn constants_match_paper() {
         assert_eq!(LinkRate::TPU_V4_ICI.gb_per_s(), 50.0);
-        assert_eq!(LinkRate::TPU_V3_ICI.gb_per_s(), 70.0);
+        assert_eq!(LinkRate::for_spec(&MachineSpec::v3()).gb_per_s(), 70.0);
         assert_eq!(LinkRate::IB_HDR.gb_per_s(), 25.0);
         // ICI is 2x IB per link (§7.3).
         assert_eq!(
@@ -114,7 +110,13 @@ mod tests {
     #[test]
     fn generation_rates_match_the_constants() {
         assert_eq!(LinkRate::for_spec(&MachineSpec::v4()), LinkRate::TPU_V4_ICI);
-        assert_eq!(LinkRate::for_spec(&MachineSpec::v3()), LinkRate::TPU_V3_ICI);
-        assert_eq!(LinkRate::for_spec(&MachineSpec::v2()), LinkRate::TPU_V2_ICI);
+        assert_eq!(
+            LinkRate::for_spec(&MachineSpec::v3()).bytes_per_s(),
+            consts::V3_ICI_GBPS * 1e9
+        );
+        assert_eq!(
+            LinkRate::for_spec(&MachineSpec::v2()).bytes_per_s(),
+            consts::V2_ICI_GBPS * 1e9
+        );
     }
 }

@@ -173,18 +173,6 @@ impl ScGeneration {
         })
     }
 
-    /// TPU v2's original SparseCore (deployed 2017).
-    pub fn tpu_v2() -> ScGeneration {
-        // tpu-lint: allow(panic-policy) -- built-in v2/v3/v4 specs all carry SparseCores
-        ScGeneration::for_spec(&tpu_spec::MachineSpec::v2()).expect("v2 has SparseCores")
-    }
-
-    /// TPU v3's SparseCore.
-    pub fn tpu_v3() -> ScGeneration {
-        // tpu-lint: allow(panic-policy) -- built-in v2/v3/v4 specs all carry SparseCores
-        ScGeneration::for_spec(&tpu_spec::MachineSpec::v3()).expect("v3 has SparseCores")
-    }
-
     /// Aggregate lookup throughput per chip, lookups/s.
     pub fn lookups_per_second(&self) -> f64 {
         f64::from(self.sc_per_chip) * f64::from(self.tiles_per_sc) * self.clock_hz
@@ -218,42 +206,40 @@ impl ScGeneration {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tpu_spec::MachineSpec;
+
+    fn sc(spec: MachineSpec) -> ScGeneration {
+        ScGeneration::for_spec(&spec).expect("built-in TPUs have SparseCores")
+    }
 
     #[test]
     fn generation_sc_counts_match_table4() {
-        assert_eq!(ScGeneration::tpu_v2().sc_per_chip, 1);
-        assert_eq!(ScGeneration::tpu_v3().sc_per_chip, 2);
-        assert_eq!(
-            ScGeneration::for_spec(&tpu_spec::MachineSpec::v4())
-                .expect("v4 has SparseCores")
-                .sc_per_chip,
-            4
-        );
+        assert_eq!(sc(MachineSpec::v2()).sc_per_chip, 1);
+        assert_eq!(sc(MachineSpec::v3()).sc_per_chip, 2);
+        assert_eq!(sc(MachineSpec::v4()).sc_per_chip, 4);
     }
 
     #[test]
     fn v4_spmem_matches_table4() {
         // Table 4: 10 MiB spMEM per chip.
-        let v4 = ScGeneration::for_spec(&tpu_spec::MachineSpec::v4()).expect("v4 has SparseCores");
+        let v4 = sc(MachineSpec::v4());
         assert!((v4.spmem_per_chip() - 10.0 * 1024.0 * 1024.0).abs() < 1.0);
         // v3: 5 MiB.
-        let v3 = ScGeneration::tpu_v3();
+        let v3 = sc(MachineSpec::v3());
         assert!((v3.spmem_per_chip() - 5.0 * 1024.0 * 1024.0).abs() < 1.0);
     }
 
     #[test]
     fn v4_throughput_exceeds_v3() {
-        let r = ScGeneration::for_spec(&tpu_spec::MachineSpec::v4())
-            .expect("v4 has SparseCores")
-            .lookups_per_second()
-            / ScGeneration::tpu_v3().lookups_per_second();
+        let r =
+            sc(MachineSpec::v4()).lookups_per_second() / sc(MachineSpec::v3()).lookups_per_second();
         // 2x SCs * 2x tiles * 1.12x clock ≈ 4.5x per-chip lookup engine.
         assert!((4.0..5.0).contains(&r), "{r}");
     }
 
     #[test]
     fn issue_time_is_fixed_per_instruction() {
-        let v4 = ScGeneration::for_spec(&tpu_spec::MachineSpec::v4()).expect("v4 has SparseCores");
+        let v4 = sc(MachineSpec::v4());
         let t1 = v4.issue_time_s(100);
         let t2 = v4.issue_time_s(200);
         assert!((t2 / t1 - 2.0).abs() < 1e-12);
@@ -261,7 +247,7 @@ mod tests {
 
     #[test]
     fn sort_is_superlinear_unique_is_linear() {
-        let v4 = ScGeneration::for_spec(&tpu_spec::MachineSpec::v4()).expect("v4 has SparseCores");
+        let v4 = sc(MachineSpec::v4());
         let sort_small = ScInstruction::SortIds { count: 1_000 }.cycles(&v4);
         let sort_big = ScInstruction::SortIds { count: 10_000 }.cycles(&v4);
         assert!(sort_big / sort_small > 10.0);
@@ -272,7 +258,7 @@ mod tests {
 
     #[test]
     fn segment_sum_scales_with_row_elements() {
-        let v4 = ScGeneration::for_spec(&tpu_spec::MachineSpec::v4()).expect("v4 has SparseCores");
+        let v4 = sc(MachineSpec::v4());
         let narrow = ScInstruction::SegmentSum {
             count: 100,
             elements: 32,
@@ -295,8 +281,8 @@ mod tests {
 
     #[test]
     fn execute_time_parallel_across_scs() {
-        let v4 = ScGeneration::for_spec(&tpu_spec::MachineSpec::v4()).expect("v4 has SparseCores");
-        let v2 = ScGeneration::tpu_v2();
+        let v4 = sc(MachineSpec::v4());
+        let v2 = sc(MachineSpec::v2());
         let instr = ScInstruction::Unique { count: 100_000 };
         // v4 has 4 SCs to v2's 1 plus a faster clock.
         assert!(v4.execute_time_s(instr) < v2.execute_time_s(instr) / 3.0);

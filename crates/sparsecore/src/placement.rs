@@ -183,15 +183,6 @@ impl EmbeddingSystem {
         }
     }
 
-    /// A TPU v3 slice of `chips` chips on its 2D torus.
-    ///
-    /// Convenience alias; prefer
-    /// [`EmbeddingSystem::for_spec`] in new code — the per-generation
-    /// aliases will eventually be deprecated.
-    pub fn tpu_v3_slice(chips: u64) -> EmbeddingSystem {
-        EmbeddingSystem::for_spec(&MachineSpec::v3(), chips)
-    }
-
     /// The Figure 9 CPU baseline: 576 Skylake sockets (400 learners, 176
     /// variable servers).
     pub fn cpu_cluster() -> EmbeddingSystem {
@@ -481,7 +472,7 @@ mod tests {
         let v4 = EmbeddingSystem::for_spec(&MachineSpec::v4(), 128)
             .step_time(&model, 4096, Placement::SparseCore)
             .total_s();
-        let v3 = EmbeddingSystem::tpu_v3_slice(128)
+        let v3 = EmbeddingSystem::for_spec(&MachineSpec::v3(), 128)
             .step_time(&model, 4096, Placement::SparseCore)
             .total_s();
         let speedup = v3 / v4;
@@ -492,7 +483,7 @@ mod tests {
     fn figure9_v3_vs_cpu_band() {
         // "TPU v3 is faster than CPUs by 9.8x."
         let model = DlrmConfig::dlrm0();
-        let v3 = EmbeddingSystem::tpu_v3_slice(128)
+        let v3 = EmbeddingSystem::for_spec(&MachineSpec::v3(), 128)
             .step_time(&model, 4096, Placement::SparseCore)
             .total_s();
         let cpu = EmbeddingSystem::cpu_cluster()

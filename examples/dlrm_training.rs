@@ -74,7 +74,7 @@ fn main() {
     // And the Figure 9 cross-system view.
     println!("\ncross-system (model profile, global batch 4096):");
     let cpu = EmbeddingSystem::cpu_cluster();
-    let v3 = EmbeddingSystem::tpu_v3_slice(chips as u64);
+    let v3 = EmbeddingSystem::for_spec(&MachineSpec::v3(), chips as u64);
     let t_cpu = cpu.step_time(&model, 4096, Placement::SparseCore).total_s();
     let t_v3 = v3.step_time(&model, 4096, Placement::SparseCore).total_s();
     let t_v4 = system
