@@ -1,8 +1,9 @@
 //! Regenerators for the performance figures (11–17).
 
 use std::fmt::Write;
-use tpu_chip::{ChipSpec, ModelPoint, Roofline};
+use tpu_chip::{ModelPoint, Roofline};
 use tpu_spec::consts::{GIGA, KILO, MEGA};
+use tpu_spec::ChipSpec;
 use tpu_workloads::{
     mlperf, Dlrm0Evolution, MlperfBenchmark, MlperfSystem, ProductionSuite, ScalingCurve,
     ScalingTail,

@@ -1,10 +1,10 @@
 //! Regenerators for the paper's tables.
 
 use std::fmt::Write;
-use tpu_chip::ChipSpec;
 use tpu_energy::Table6;
 use tpu_parallel::{LlmConfig, Partitioning, ShardingSpec, TopologySearch, TrainingCost};
 use tpu_sched::{SliceMix, TopologyChoice};
+use tpu_spec::ChipSpec;
 use tpu_topology::SliceShape;
 use tpu_workloads::{ModelFamily, WorkloadMix};
 

@@ -1,7 +1,9 @@
 //! Chip-level models for the TPU v4 supercomputer simulator.
 //!
-//! * [`specs`] — the feature database of Tables 4 and 5 of the paper
-//!   (TPU v2/v3/v4, NVIDIA A100, Graphcore IPU Bow).
+//! Each model reads a [`tpu_spec::ChipSpec`], the feature record of
+//! Tables 4 and 5 of the paper (TPU v2/v3/v4, NVIDIA A100, Graphcore IPU
+//! Bow).
+//!
 //! * [`memory`] — HBM ↔ CMEM ↔ VMEM hierarchy with working-set-dependent
 //!   effective bandwidth (the mechanism behind Figure 13's CMEM ablation
 //!   and RNN1's surprise 3.3× speedup).
@@ -13,7 +15,8 @@
 //! # Example
 //!
 //! ```
-//! use tpu_chip::{ChipSpec, Roofline};
+//! use tpu_chip::Roofline;
+//! use tpu_spec::ChipSpec;
 //!
 //! let v4 = ChipSpec::tpu_v4();
 //! let v3 = ChipSpec::tpu_v3();
@@ -31,11 +34,9 @@
 pub mod memory;
 pub mod power;
 pub mod roofline;
-pub mod specs;
 pub mod tensorcore;
 
 pub use memory::{MemorySystem, MIB};
 pub use power::PowerModel;
 pub use roofline::{ModelPoint, Roofline};
-pub use specs::{ChipSpec, ProcessorStyle};
 pub use tensorcore::TensorCore;

@@ -6,9 +6,9 @@
 //! 1.2× on average and 2× for RNN1 ("small weights and small batch size
 //! benefit significantly from CMEM bandwidth versus HBM").
 
-use crate::specs::ChipSpec;
 use serde::{Deserialize, Serialize};
 use tpu_spec::consts::GIGA;
+use tpu_spec::ChipSpec;
 
 /// One MiB in bytes.
 pub const MIB: f64 = 1024.0 * 1024.0;

@@ -5,8 +5,8 @@
 //! running MLPerf. The model interpolates linearly between idle and max
 //! power with utilization, which reproduces both tables from one curve.
 
-use crate::specs::ChipSpec;
 use serde::{Deserialize, Serialize};
+use tpu_spec::ChipSpec;
 
 /// Linear utilization → power model for one chip package (ASIC + HBM).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]

@@ -7,8 +7,8 @@
 //! byte), so rank orders flip between the compute- and memory-bound
 //! regimes.
 
-use crate::specs::ChipSpec;
 use serde::{Deserialize, Serialize};
+use tpu_spec::ChipSpec;
 
 /// A roofline: peak compute ceiling plus memory-bandwidth slope.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]

@@ -2,8 +2,8 @@
 
 use crate::plan::{AxisMapping, Partitioning, ShardingSpec};
 use serde::{Deserialize, Serialize};
-use tpu_chip::ChipSpec;
 use tpu_spec::consts::{GIGA, TERA};
+use tpu_spec::ChipSpec;
 use tpu_topology::SliceShape;
 
 /// A decoder-only LLM training configuration.

@@ -10,11 +10,11 @@
 //! ratio).
 
 use serde::{Deserialize, Serialize};
-use tpu_chip::{ChipSpec, MemorySystem, PowerModel, MIB};
+use tpu_chip::{MemorySystem, PowerModel, MIB};
 use tpu_embedding::DlrmConfig;
 use tpu_sparsecore::{EmbeddingSystem, Placement};
 use tpu_spec::consts::GIGA;
-use tpu_spec::MachineSpec;
+use tpu_spec::{ChipSpec, MachineSpec};
 
 /// The chip record of a built-in generation.
 /// Broad workload class.
