@@ -16,7 +16,7 @@ pub fn fig1() -> String {
     let _ = writeln!(
         out,
         "  3 dims x 16 face lines = {} OCSes, each seeing every block's +/- pair",
-        wiring::OCS_COUNT
+        tpu_spec::consts::OCS_COUNT
     );
     // Materialize one 4^3 block and list which switch each face pair uses.
     let mut fabric = Fabric::with_blocks(1);

@@ -6,25 +6,8 @@
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use tpu_spec::consts::{BLOCK_EDGE, LINKS_PER_FACE, V4_HOSTS_PER_BLOCK};
 use tpu_topology::{Coord3, Dim, Direction};
-
-/// Chips along one edge of a block (from [`tpu_spec::consts`]).
-pub const BLOCK_EDGE: u32 = tpu_spec::consts::BLOCK_EDGE;
-
-/// TPUs in one block (4³ = one rack).
-pub const TPUS_PER_BLOCK: u32 = tpu_spec::consts::TPUS_PER_BLOCK;
-
-/// TPUs attached to one CPU host.
-pub const TPUS_PER_HOST: u32 = tpu_spec::consts::V4_TPUS_PER_HOST;
-
-/// CPU hosts in one block.
-pub const HOSTS_PER_BLOCK: u32 = tpu_spec::consts::V4_HOSTS_PER_BLOCK;
-
-/// Optical links leaving one face of a block (4×4 lines).
-pub const LINKS_PER_FACE: u32 = tpu_spec::consts::LINKS_PER_FACE;
-
-/// Total optical links per block: 6 faces × 16 links.
-pub const OPTICAL_LINKS_PER_BLOCK: u32 = tpu_spec::consts::OPTICAL_LINKS_PER_BLOCK;
 
 /// Identifier of a block within a fabric.
 #[derive(
@@ -58,7 +41,7 @@ impl fmt::Display for BlockId {
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Block {
     id: BlockId,
-    host_up: [bool; HOSTS_PER_BLOCK as usize],
+    host_up: [bool; V4_HOSTS_PER_BLOCK as usize],
     deployed: bool,
 }
 
@@ -67,7 +50,7 @@ impl Block {
     pub fn new(id: BlockId) -> Block {
         Block {
             id,
-            host_up: [true; HOSTS_PER_BLOCK as usize],
+            host_up: [true; V4_HOSTS_PER_BLOCK as usize],
             deployed: true,
         }
     }
@@ -166,12 +149,13 @@ pub fn face_chip(dim: Dim, dir: Direction, line: u32) -> Coord3 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tpu_spec::consts::{OPTICAL_LINKS_PER_BLOCK, TPUS_PER_BLOCK, V4_TPUS_PER_HOST};
 
     #[test]
     fn constants_match_paper() {
         assert_eq!(TPUS_PER_BLOCK, 64);
-        assert_eq!(HOSTS_PER_BLOCK, 16);
-        assert_eq!(TPUS_PER_HOST, 4);
+        assert_eq!(V4_HOSTS_PER_BLOCK, 16);
+        assert_eq!(V4_TPUS_PER_HOST, 4);
         assert_eq!(OPTICAL_LINKS_PER_BLOCK, 6 * LINKS_PER_FACE);
     }
 

@@ -11,10 +11,8 @@
 //! published bounds). The wavelength-multiplexing headroom of §7.2 is
 //! exposed via [`CostModel::with_wavelengths`].
 
-use crate::block::OPTICAL_LINKS_PER_BLOCK;
-use crate::switch::PALOMAR_PORTS;
-use crate::wiring::OCS_COUNT;
 use serde::{Deserialize, Serialize};
+use tpu_spec::consts::{OCS_COUNT, OPTICAL_LINKS_PER_BLOCK, PALOMAR_PORTS};
 
 /// Cost and power parameters for one TPU v4 supercomputer.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]

@@ -1,12 +1,13 @@
 //! The full OCS fabric: 64 blocks joined by 48 switches, with slice
 //! allocation, twist programming, failure route-around and release.
 
-use crate::block::{face_chip, Block, BlockId, BLOCK_EDGE, LINKS_PER_FACE, TPUS_PER_BLOCK};
+use crate::block::{face_chip, Block, BlockId};
 use crate::switch::{OcsSwitch, PortId};
-use crate::wiring::{block_port, ocs_index, OCS_COUNT};
+use crate::wiring::{block_port, ocs_index};
 use crate::OcsError;
 use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
+use tpu_spec::consts::{BLOCK_EDGE, LINKS_PER_FACE, OCS_COUNT, TPUS_PER_BLOCK};
 use tpu_spec::MachineSpec;
 use tpu_topology::{
     Coord3, Dim, Direction, LinkGraph, NodeId, SliceShape, TwistSpec, TwistedTorus,

@@ -35,12 +35,12 @@ pub mod reconfig;
 mod switch;
 pub mod wiring;
 
-pub use block::{Block, BlockId, HOSTS_PER_BLOCK, TPUS_PER_BLOCK, TPUS_PER_HOST};
+pub use block::{Block, BlockId};
 pub use cost::{CostModel, CostReport};
 pub use error::OcsError;
 pub use fabric::{Circuit, Fabric, MaterializedSlice, SliceSpec};
 pub use reconfig::ReconfigPlan;
-pub use switch::{OcsSwitch, PortId, OCS_RECONFIG_MS, PALOMAR_PORTS, PALOMAR_SPARE_PORTS};
+pub use switch::{OcsSwitch, PortId};
 
 /// Convenience result alias used across the crate.
 pub type Result<T> = std::result::Result<T, OcsError>;

@@ -10,11 +10,9 @@
 //! tables".
 
 use crate::fabric::{Circuit, MaterializedSlice};
-use crate::switch::OCS_RECONFIG_MS;
-use crate::wiring::OCS_COUNT;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
-use tpu_spec::consts;
+use tpu_spec::consts::{self, OCS_COUNT, OCS_RECONFIG_MS};
 
 /// The delta between two wirings of the same blocks.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]

@@ -9,18 +9,7 @@
 use crate::OcsError;
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use tpu_spec::consts::KILO;
-
-/// Total ports on a Palomar OCS (128 usable + 8 spares; from
-/// [`tpu_spec::consts`]).
-pub const PALOMAR_PORTS: u16 = tpu_spec::consts::PALOMAR_PORTS;
-
-/// Spare ports reserved for link testing and repairs.
-pub const PALOMAR_SPARE_PORTS: u16 = tpu_spec::consts::PALOMAR_SPARE_PORTS;
-
-/// MEMS mirror reconfiguration time, milliseconds ("switch in
-/// milliseconds", §2.1).
-pub const OCS_RECONFIG_MS: f64 = tpu_spec::consts::OCS_RECONFIG_MS;
+use tpu_spec::consts::{KILO, OCS_RECONFIG_MS, PALOMAR_PORTS};
 
 /// A port on an OCS.
 #[derive(

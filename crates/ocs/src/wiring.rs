@@ -6,13 +6,10 @@
 //! fiber per (dimension, face-line) pair, each OCS sees exactly
 //! 64 × 2 = 128 ports — the Palomar's usable port count.
 
-use crate::block::{BlockId, LINKS_PER_FACE};
+use crate::block::BlockId;
 use crate::switch::PortId;
+use tpu_spec::consts::{LINKS_PER_FACE, OCS_COUNT};
 use tpu_topology::{Dim, Direction};
-
-/// Number of OCSes in a full TPU v4 fabric: 3 dimensions × 16 face lines
-/// (from [`tpu_spec::consts`]).
-pub const OCS_COUNT: u32 = tpu_spec::consts::OCS_COUNT;
 
 /// The OCS serving a (dimension, face line) pair.
 ///
