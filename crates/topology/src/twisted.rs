@@ -206,16 +206,22 @@ mod tests {
 
     #[test]
     fn identity_twist_equals_regular_torus() {
-        let shape = SliceShape::new(4, 4, 8).unwrap();
-        let twisted = TwistedTorus::new(shape, TwistSpec::identity()).into_graph();
-        let regular = Torus::new(shape).into_graph();
-        assert_eq!(twisted.edge_count(), regular.edge_count());
-        // Same multiset of (src, dst) pairs.
-        let mut a: Vec<_> = twisted.edges().iter().map(|e| (e.src, e.dst)).collect();
-        let mut b: Vec<_> = regular.edges().iter().map(|e| (e.src, e.dst)).collect();
-        a.sort_unstable();
-        b.sort_unstable();
-        assert_eq!(a, b);
+        // Same name and the same edges in the same order, labels included,
+        // on degenerate, extent-2, odd and long dimensions.
+        for (x, y, z) in [
+            (1, 1, 1),
+            (2, 1, 1),
+            (4, 4, 8),
+            (2, 3, 16),
+            (8, 8, 4),
+            (5, 7, 2),
+        ] {
+            let shape = SliceShape::new(x, y, z).unwrap();
+            let twisted = TwistedTorus::new(shape, TwistSpec::identity()).into_graph();
+            let regular = Torus::new(shape).into_graph();
+            assert_eq!(twisted.name(), regular.name(), "{shape}");
+            assert_eq!(twisted.edges(), regular.edges(), "{shape}");
+        }
     }
 
     #[test]
