@@ -1,7 +1,7 @@
 //! Regular (rectangular) 3D torus generator.
 
-use crate::graph::{Edge, LinkGraph, LinkLabel};
-use crate::{Coord3, Dim, Direction, SliceShape};
+use crate::graph::LinkGraph;
+use crate::{Coord3, Dim, Direction, SliceShape, TwistSpec, TwistedTorus};
 use serde::{Deserialize, Serialize};
 
 /// A regular 3D torus over a slice shape.
@@ -27,31 +27,10 @@ impl Torus {
         self.shape
     }
 
-    /// Materializes the torus as an explicit link graph.
+    /// Materializes the torus as an explicit link graph: the identity
+    /// [`TwistedTorus`].
     pub fn into_graph(self) -> LinkGraph {
-        let shape = self.shape;
-        let mut edges = Vec::new();
-        for c in shape.coords() {
-            for dim in Dim::ALL {
-                let extent = shape.extent(dim);
-                if extent <= 1 {
-                    continue;
-                }
-                for dir in Direction::ALL {
-                    let (nbr, wrap) = step(shape, c, dim, dir);
-                    edges.push(Edge {
-                        src: crate::NodeId::new(shape.index_of(c)),
-                        dst: crate::NodeId::new(shape.index_of(nbr)),
-                        label: LinkLabel {
-                            dim,
-                            dir,
-                            wraparound: wrap,
-                        },
-                    });
-                }
-            }
-        }
-        LinkGraph::from_edges(shape, format!("torus {shape}"), edges)
+        TwistedTorus::new(self.shape, TwistSpec::identity()).into_graph()
     }
 
     /// Analytic bidirectional-link bisection of the torus, cutting across
