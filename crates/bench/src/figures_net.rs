@@ -78,18 +78,17 @@ pub fn fig4() -> String {
     out
 }
 
-/// Figure 4 from fleet simulation: the same v4 fleet brought up twice
-/// through `Supercomputer::for_spec` — once behind OCSes, once
-/// statically cabled (`with_fabric(FabricKind::Static)`) — with every
-/// slice placed by real `submit` calls rather than the closed-form
-/// healthy-block count.
+/// Figure 4's fragmentation mechanism, shown on the same v4 fleet
+/// brought up twice through `Supercomputer::for_spec`: once behind OCSes,
+/// once statically cabled (`with_fabric(FabricKind::Static)`), with
+/// every slice placed by real `submit` calls.
 ///
-/// Part 1 is deterministic: one dead host per all-even-coordinate block
-/// leaves 56/64 blocks healthy, which the OCS machine stitches into
-/// 8-block slices freely while the static machine cannot place even one
-/// (every contiguous 2×2×2 box, wraparound included, contains a dead
-/// corner). Part 2 is the Monte Carlo goodput gap over availabilities,
-/// through the same two fabric arms.
+/// The failure pattern is deterministic: one dead host per
+/// all-even-coordinate block leaves 56/64 blocks healthy, which the OCS
+/// machine stitches into 8-block slices freely while the static machine
+/// cannot place even one (every contiguous 2×2×2 box, wraparound
+/// included, contains a dead corner). The goodput gap over availability
+/// is `fig4` (closed-form Monte Carlo) and `fleet_des` (event traces).
 pub fn fig4_fleet() -> String {
     let mut out = String::new();
     let spec = MachineSpec::v4();
@@ -128,43 +127,12 @@ pub fn fig4_fleet() -> String {
         out,
         "  static fleet: {n_fixed} slices placed, then: {why_fixed}"
     );
-    let _ = writeln!(out);
-
-    let trials = if cfg!(debug_assertions) { 30 } else { 200 };
-    let sim = GoodputSim::for_spec(&spec, trials, 2023);
-    let _ = writeln!(
-        out,
-        "goodput from fleet simulation (Supercomputer submit / StaticCluster packing):"
-    );
-    let _ = writeln!(
-        out,
-        "{:>8} {:>8} | {:>10} {:>10} {:>10}",
-        "chips", "avail", "OCS", "static", "gap"
-    );
-    for &chips in &[1024u64, 2048, 3072] {
-        for &avail in &[0.990, 0.995, 0.999] {
-            let g_ocs = sim.goodput(chips, avail, FabricKind::Ocs);
-            let g_fixed = sim.goodput(chips, avail, FabricKind::Static);
-            let _ = writeln!(
-                out,
-                "{chips:>8} {:>7.1}% | {:>9.1}% {:>9.1}% {:>9.1}%",
-                avail * 100.0,
-                g_ocs * 100.0,
-                g_fixed * 100.0,
-                (g_ocs - g_fixed) * 100.0
-            );
-        }
-    }
-    let _ = writeln!(
-        out,
-        "(paper: without OCSes, host availability must be 99.9% for reasonable goodput)"
-    );
     out
 }
 
 /// Figure 4 rebuilt from discrete-event fleet traces.
 ///
-/// Where `fig4_fleet` asks the closed-form Monte Carlo (`GoodputSim`)
+/// Where `fig4` asks the closed-form Monte Carlo (`GoodputSim`)
 /// for the OCS-vs-static goodput gap, this experiment *simulates the
 /// fleet*: stationary host failure/repair processes at each target
 /// availability, months of simulated operation, and goodput read off

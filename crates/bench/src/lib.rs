@@ -244,9 +244,7 @@ mod tests {
         for e in all_experiments() {
             // Skip the slowest Monte Carlos in debug test runs; they have
             // their own integration coverage.
-            if (e.id == "fig4" || e.id == "fig4_fleet" || e.id == "fleet_des")
-                && cfg!(debug_assertions)
-            {
+            if (e.id == "fig4" || e.id == "fleet_des") && cfg!(debug_assertions) {
                 continue;
             }
             let out = (e.run)();
