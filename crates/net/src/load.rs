@@ -136,14 +136,6 @@ impl AllToAll {
         (self.nodes as f64 - 1.0) * self.bytes_per_pair / self.completion_time
     }
 
-    /// Ideal (bisection-bound) per-node goodput in bytes/s.
-    pub fn ideal_throughput_per_node(&self) -> f64 {
-        if self.ideal_time == 0.0 {
-            return 0.0;
-        }
-        (self.nodes as f64 - 1.0) * self.bytes_per_pair / self.ideal_time
-    }
-
     /// Achieved fraction of the bisection-bound ideal (≤ 1).
     pub fn fraction_of_ideal(&self) -> f64 {
         if self.completion_time == 0.0 {

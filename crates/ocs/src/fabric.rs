@@ -39,14 +39,6 @@ impl SliceSpec {
         })
     }
 
-    /// A slice with an explicit twist specification.
-    pub fn with_twist(shape: SliceShape, twist: TwistSpec) -> SliceSpec {
-        SliceSpec {
-            shape,
-            twist: Some(twist),
-        }
-    }
-
     /// The chip-level shape.
     pub fn shape(&self) -> SliceShape {
         self.shape

@@ -37,16 +37,6 @@ impl BlockGeometry {
     pub fn hosts(&self) -> u32 {
         self.chips() / self.tpus_per_host
     }
-
-    /// Optical links leaving one face of the block.
-    pub fn links_per_face(&self) -> u32 {
-        self.edge * self.edge
-    }
-
-    /// Total optical links per block (6 faces).
-    pub fn optical_links(&self) -> u32 {
-        6 * self.links_per_face()
-    }
 }
 
 /// Per-hop latency (alpha) calibration of a machine's interconnect —

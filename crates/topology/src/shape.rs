@@ -25,13 +25,6 @@ pub enum Twistability {
     NotTwistable,
 }
 
-impl Twistability {
-    /// Whether the shape admits a twisted wiring at all.
-    pub fn is_twistable(self) -> bool {
-        !matches!(self, Twistability::NotTwistable)
-    }
-}
-
 /// The geometry of a TPU slice: chips along x, y and z.
 ///
 /// The software scheduler in the paper requires `x ≤ y ≤ z`
