@@ -237,6 +237,23 @@ impl SwitchedCluster {
         self.fleet_chips - self.down_chips
     }
 
+    /// Chips on the islands a health vector marks up (`healthy[i]` is
+    /// island `i`), counting a partial last island at its real size.
+    /// Pure arithmetic over the vector: the cluster's own down hosts
+    /// play no part, so on a pristine cluster this is the
+    /// [`SwitchedCluster::healthy_chips`] the vector's failures would
+    /// leave.
+    pub fn chips_on(&self, healthy: &[bool]) -> u64 {
+        let up = healthy.iter().filter(|&&up| up).count() as u64;
+        let last = self.islands - 1;
+        let short = if healthy.get(last as usize) == Some(&true) {
+            u64::from(self.island_chips) - self.island_size(last)
+        } else {
+            0
+        };
+        up * u64::from(self.island_chips) - short
+    }
+
     /// Whether any host of one island is currently down.
     fn island_down(&self, island: u64) -> bool {
         self.down_hosts
@@ -395,7 +412,7 @@ impl Supercomputer {
 
     /// Chips currently allocated to jobs.
     pub fn chips_in_use(&self) -> u64 {
-        self.jobs.values().map(|j| j.placement.chips()).sum()
+        chips_held(&self.jobs)
     }
 
     /// Machine utilization in [0, 1].
@@ -431,7 +448,6 @@ impl Supercomputer {
     /// for a twisted request on a switched machine (a switched fabric has
     /// no torus to twist).
     pub fn submit(&mut self, spec: JobSpec) -> Result<JobId> {
-        let in_use = self.chips_in_use();
         let placement = match &mut self.fabric {
             MachineFabric::Torus(fabric) => Placement::Torus(fabric.allocate(spec.slice())?),
             MachineFabric::StaticTorus(cluster) => {
@@ -468,7 +484,11 @@ impl Supercomputer {
                     });
                 }
                 let needed = spec.slice().shape().volume();
-                let available = cluster.healthy_chips().saturating_sub(in_use);
+                // Summed here, the one fabric that reads it: the jobs
+                // map is a field disjoint from the borrowed fabric.
+                let available = cluster
+                    .healthy_chips()
+                    .saturating_sub(chips_held(&self.jobs));
                 if needed > available {
                     return Err(SupercomputerError::InsufficientChips { needed, available });
                 }
@@ -647,6 +667,11 @@ impl Supercomputer {
             ),
         })
     }
+}
+
+/// Chips allocated to a set of running jobs.
+fn chips_held(jobs: &BTreeMap<JobId, RunningJob>) -> u64 {
+    jobs.values().map(|j| j.placement.chips()).sum()
 }
 
 #[cfg(test)]
@@ -906,6 +931,14 @@ mod tests {
         let cluster = sc.switched().unwrap();
         assert_eq!(cluster.islands(), 512);
         assert_eq!(cluster.healthy_chips(), 4094);
+        // A health vector prices the partial island at its 6 chips too.
+        let mut healthy = vec![true; 512];
+        assert_eq!(cluster.chips_on(&healthy), 4094);
+        healthy[511] = false;
+        assert_eq!(cluster.chips_on(&healthy), 4088);
+        healthy[0] = false;
+        assert_eq!(cluster.chips_on(&healthy), 4080);
+        assert_eq!(cluster.chips_on(&[false; 512]), 0);
         // Downing the partial island removes exactly its 6 chips.
         sc.inject_host_failure(BlockId::new(511), 0).unwrap();
         assert_eq!(sc.switched().unwrap().healthy_chips(), 4088);
