@@ -1044,7 +1044,7 @@ impl<'a> Engine<'a> {
                 self.probe_blocks,
             )
         } else {
-            let machine = self.probe_reconf.as_mut().expect("one probe arm"); // tpu-lint: allow(panic-policy) -- unreachable: one probe arm
+            let machine = self.probe_reconf.as_ref().expect("one probe arm"); // tpu-lint: allow(panic-policy) -- unreachable: one probe arm
             place_reconfigurable(
                 machine,
                 &self.healthy_scratch,

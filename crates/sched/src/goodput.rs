@@ -6,14 +6,14 @@
 //! healthy sub-box of the fixed 4×4×4 block grid.
 //!
 //! Goodput = expected fraction of the machine's chips deliverable as
-//! slices of the requested size. Each Monte Carlo trial draws per-host
-//! health, injects the failures into a real machine —
-//! [`Supercomputer::for_spec`] with the fabric kind under test — and
-//! counts how many slices actually `submit`, so both arms of the Figure 4
-//! comparison run the same placement code production would
-//! (`tpu_core::Fabric` allocation on the OCS arm,
-//! [`tpu_core::StaticCluster`] contiguous packing on the static arm),
-//! not a private closed-form curve.
+//! slices of the requested size. Each Monte Carlo trial draws block
+//! health and counts the slices that place. The static arm injects the
+//! failures into a real [`tpu_core::StaticCluster`] and packs contiguous
+//! boxes through its production allocator. The any-healthy-capacity arm
+//! (OCS plugboard, switched islands) counts in closed form against the
+//! pristine [`Supercomputer::for_spec`] machine; [`place_reconfigurable`]
+//! says why that count is exact, and [`place_reconfigurable_naive`]
+//! keeps the submit-until-refused loop it is tested against.
 
 use crate::model::PlannerModel;
 use crate::trials::{chunk_seed, run_chunks};
@@ -111,13 +111,14 @@ impl GoodputSim {
     /// fleet-fabric kind.
     ///
     /// `FabricKind::Ocs` models the reconfigurable machine (any healthy
-    /// blocks form a slice, through `Supercomputer::submit` on the OCS
-    /// fabric); `FabricKind::Static` the statically-cabled one (greedy
-    /// first-fit contiguous packing through [`StaticCluster`], wraparound
-    /// placements allowed). For a `torus_dims == 0` spec,
-    /// `FabricKind::Switched` and `FabricKind::Ocs` both mean "the
-    /// machine's own switched fabric" — islands are interchangeable
-    /// behind the fat tree exactly like blocks behind the plugboard.
+    /// blocks form a slice, counted in closed form by
+    /// [`place_reconfigurable`]); `FabricKind::Static` the
+    /// statically-cabled one (greedy first-fit contiguous packing
+    /// through [`StaticCluster`], wraparound placements allowed). For a
+    /// `torus_dims == 0` spec, `FabricKind::Switched` and
+    /// `FabricKind::Ocs` both mean "the machine's own switched fabric" —
+    /// islands are interchangeable behind the fat tree exactly like
+    /// blocks behind the plugboard.
     ///
     /// Trials run in fixed-size chunks across worker threads (see
     /// [`GoodputSim::with_threads`] and [`crate::trials`]); for a given
@@ -156,16 +157,16 @@ impl GoodputSim {
         let p_block = availability.powi(self.model.hosts_per_block() as i32);
 
         // Trials run in fixed-size chunks, each on its own RNG stream
-        // derived from (seed, chunk); every worker thread clones the
-        // lazily-cached pristine arm and resets it between trials
-        // (finish every job, repair every host), so per-trial work is
-        // only the failures and submissions themselves.
-        let prototype = self.arm_prototype(fabric);
+        // derived from (seed, chunk). The reconfigurable arm is closed
+        // form and only reads the model's lazily-cached pristine
+        // machine; each worker thread clones the static arm straight
+        // from the model once and resets it between trials (release
+        // every slice, repair every host).
         let n_chunks = self.trials.div_ceil(TRIALS_PER_CHUNK) as usize;
         let chunk_sums = run_chunks(
             n_chunks,
             self.threads,
-            || (prototype.clone(), Vec::with_capacity(total_blocks)),
+            || (self.arm(fabric), Vec::with_capacity(total_blocks)),
             |chunk, (arm, healthy)| {
                 let mut rng = StdRng::seed_from_u64(chunk_seed(self.seed, chunk as u64));
                 let chunk_trials =
@@ -193,13 +194,15 @@ impl GoodputSim {
         chunk_sums.into_iter().sum::<f64>() / f64::from(self.trials)
     }
 
-    /// The pristine arm for a fabric kind, built once per *model* (not
-    /// per sim, not per call) and cloned per worker thread afterwards.
-    fn arm_prototype(&self, fabric: FabricKind) -> FabricArm {
+    /// One worker's arm for a fabric kind. The pristine arms are built
+    /// once per *model* (not per sim, not per call); the static arm is
+    /// cloned because its trials mutate it, the reconfigurable one is
+    /// borrowed because its placement count never touches the machine.
+    fn arm(&self, fabric: FabricKind) -> FabricArm<'_> {
         match fabric {
             FabricKind::Static => FabricArm::Static(self.model.static_arm().clone()),
             FabricKind::Ocs | FabricKind::Switched => {
-                FabricArm::Reconfigurable(self.model.reconfigurable_arm().clone())
+                FabricArm::Reconfigurable(self.model.reconfigurable_arm())
             }
         }
     }
@@ -245,17 +248,17 @@ impl GoodputSim {
     }
 }
 
-/// One goodput arm: built lazily once per sim, cloned per worker
-/// thread, and reused (reset between trials) across that worker's
-/// Monte Carlo chunks.
-#[derive(Clone)]
-enum FabricArm {
-    /// The statically-cabled grid (the machine itself for static specs,
-    /// the counterfactual otherwise).
+/// One worker's goodput arm, reused across that worker's Monte Carlo
+/// chunks.
+enum FabricArm<'a> {
+    /// A worker-local clone of the statically-cabled grid (the machine
+    /// itself for static specs, the counterfactual otherwise), reset
+    /// between trials.
     Static(StaticCluster),
-    /// A real [`Supercomputer`] on the spec's any-healthy-capacity
-    /// fabric (OCS plugboard / switched islands).
-    Reconfigurable(Supercomputer),
+    /// The model's pristine [`Supercomputer`] on the spec's
+    /// any-healthy-capacity fabric (OCS plugboard / switched islands),
+    /// shared by every worker: its placement count is closed form.
+    Reconfigurable(&'a Supercomputer),
 }
 
 /// The spec whose fabric backs the "reconfigurable" arm: torus fleets
@@ -308,29 +311,33 @@ pub fn slice_geometry(
 /// its *current* block health to this exact function, so its goodput
 /// generalizes — never diverges from — the closed-form arm.
 ///
-/// On the OCS plugboard the count is closed-form: `Fabric::allocate`
-/// takes the first `blocks_needed` free healthy blocks with *no*
-/// geometric constraint (any healthy blocks form a slice — the
-/// plugboard property the whole experiment measures), so every
-/// `blocks_needed` healthy blocks host exactly one slice and the
-/// machine is never touched. [`place_reconfigurable_naive`] keeps the
-/// submit-until-refused loop through the production fabric as the
-/// reference; the `fleet_fastpath_equivalence` test holds the
-/// arithmetic to it on every committed spec. Switched islands go
-/// through the naive path: their capacity check depends on per-island
-/// chip counts the machine owns.
+/// The count is closed form on both fabrics, and the pristine machine
+/// is only read. On the OCS plugboard `Fabric::allocate` takes the
+/// first `blocks_needed` free healthy blocks with *no* geometric
+/// constraint (any healthy blocks form a slice — the plugboard property
+/// the whole experiment measures), so every `blocks_needed` healthy
+/// blocks host exactly one slice. On a switched machine islands are
+/// interchangeable behind the fat tree and `submit` only checks chip
+/// capacity, so the machine fits `healthy_chips / slice_chips` slices,
+/// where `healthy_chips` ([`tpu_core::SwitchedCluster::chips_on`])
+/// counts a partial last island at its real size.
+/// [`place_reconfigurable_naive`] keeps the submit-until-refused loop
+/// through the production fabric as the reference; the
+/// `fleet_fastpath_equivalence` test
+/// `closed_form_placement_matches_the_naive_fabric_loop` holds the
+/// arithmetic to it on every committed spec, switched ones included.
 #[doc(hidden)]
 pub fn place_reconfigurable(
-    machine: &mut Supercomputer,
+    machine: &Supercomputer,
     healthy: &[bool],
     shape: SliceShape,
     blocks_needed: u32,
 ) -> u32 {
-    if !machine.is_switched() {
-        let healthy_blocks = healthy.iter().filter(|&&up| up).count() as u32;
-        return (healthy_blocks / blocks_needed) * blocks_needed;
-    }
-    place_reconfigurable_naive(machine, healthy, shape, blocks_needed)
+    let slices = match machine.switched() {
+        Some(cluster) => cluster.chips_on(healthy) / shape.volume(),
+        None => healthy.iter().filter(|&&up| up).count() as u64 / u64::from(blocks_needed),
+    };
+    slices as u32 * blocks_needed
 }
 
 /// The reference trial of the reconfigurable arm: inject the drawn

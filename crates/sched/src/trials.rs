@@ -9,6 +9,7 @@
 //! combined in (DESIGN.md §11).
 
 use std::num::NonZeroUsize;
+use std::sync::OnceLock;
 
 /// The RNG seed of one trial chunk: a SplitMix64 finalizer over the base
 /// seed offset by the chunk index, so neighbouring chunks get
@@ -22,12 +23,18 @@ pub fn chunk_seed(seed: u64, chunk: u64) -> u64 {
 }
 
 /// Resolves a requested worker count: `0` means "one worker per
-/// available CPU", anything else is taken literally.
+/// available CPU", anything else is taken literally. The CPU count is
+/// looked up once per process and cached: on Linux
+/// `available_parallelism` re-reads the cgroup quota files on every
+/// call, a cost every Monte Carlo call would otherwise pay.
 pub fn resolve_threads(requested: usize) -> usize {
+    static CPUS: OnceLock<usize> = OnceLock::new();
     if requested == 0 {
-        std::thread::available_parallelism()
-            .map(NonZeroUsize::get)
-            .unwrap_or(1)
+        *CPUS.get_or_init(|| {
+            std::thread::available_parallelism()
+                .map(NonZeroUsize::get)
+                .unwrap_or(1)
+        })
     } else {
         requested
     }
@@ -37,12 +44,14 @@ pub fn resolve_threads(requested: usize) -> usize {
 /// `threads` OS threads (resolved via [`resolve_threads`]) and returns
 /// the per-chunk results **in chunk order**.
 ///
-/// Each worker gets its own scratch state from `init` (e.g. a cloned
-/// fabric arm) and walks chunks in a fixed stride, so no two workers
-/// ever touch the same chunk; results land in a chunk-indexed vector,
-/// making the output independent of scheduling. With one effective
-/// thread the chunks run inline on the caller's thread — same chunks,
-/// same seeds, same answer.
+/// Stride `t` of `threads` runs chunks `t, t + threads, …` on one
+/// worker with its own scratch state from `init` (e.g. a cloned fabric
+/// arm), so no two workers ever touch the same chunk; results land in a
+/// chunk-indexed vector, making the output independent of scheduling.
+/// The caller's thread runs stride 0 itself and spawns `threads - 1`
+/// scoped workers for the rest, so one effective thread spawns nothing —
+/// same chunks, same seeds, same answer. A panic in any chunk, on the
+/// caller's thread or a worker's, propagates to the caller.
 pub fn run_chunks<T, S, FS, FC>(n_chunks: usize, threads: usize, init: FS, run: FC) -> Vec<T>
 where
     T: Send,
@@ -51,28 +60,22 @@ where
     FC: Fn(usize, &mut S) -> T + Sync,
 {
     let threads = resolve_threads(threads).min(n_chunks).max(1);
-    if threads == 1 {
+    let stride = |t: usize| {
         let mut state = init();
-        return (0..n_chunks).map(|c| run(c, &mut state)).collect();
-    }
+        (t..n_chunks)
+            .step_by(threads)
+            .map(|c| (c, run(c, &mut state)))
+            .collect::<Vec<_>>()
+    };
     let mut out: Vec<Option<T>> = (0..n_chunks).map(|_| None).collect();
     std::thread::scope(|scope| {
-        let init = &init;
-        let run = &run;
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                scope.spawn(move || {
-                    let mut state = init();
-                    let mut results = Vec::new();
-                    let mut c = t;
-                    while c < n_chunks {
-                        results.push((c, run(c, &mut state)));
-                        c += threads;
-                    }
-                    results
-                })
-            })
+        let stride = &stride;
+        let handles: Vec<_> = (1..threads)
+            .map(|t| scope.spawn(move || stride(t)))
             .collect();
+        for (c, value) in stride(0) {
+            out[c] = Some(value);
+        }
         for handle in handles {
             // tpu-lint: allow(panic-policy) -- re-raises a worker panic; swallowing it would hide trial bugs
             for (c, value) in handle.join().expect("trial worker panicked") {
@@ -110,6 +113,47 @@ mod tests {
         let reference = run_chunks(37, 1, || 0u64, work);
         for threads in [2, 3, 8, 64] {
             assert_eq!(run_chunks(37, threads, || 0u64, work), reference);
+        }
+    }
+
+    #[test]
+    fn results_stay_in_chunk_order_when_threads_meet_or_exceed_chunks() {
+        // More threads than chunks (clamped to one chunk per thread) and
+        // exactly one chunk per thread: chunk 0 runs on the caller, the
+        // rest on workers, and the output is still in chunk order.
+        let work = |c: usize, _: &mut ()| c * 10 + 1;
+        let expected: Vec<usize> = (0..4).map(|c| c * 10 + 1).collect();
+        assert_eq!(run_chunks(4, 16, || (), work), expected);
+        assert_eq!(run_chunks(4, 4, || (), work), expected);
+        assert_eq!(run_chunks(1, 4, || (), work), vec![1]);
+    }
+
+    #[test]
+    fn a_panic_on_the_callers_stride_propagates() {
+        // Chunk 0 always runs on the caller's thread; its panic must
+        // reach the caller (after the workers are joined), not be lost.
+        for threads in [1, 2, 4] {
+            let result = std::panic::catch_unwind(|| {
+                run_chunks(
+                    4,
+                    threads,
+                    || (),
+                    |c, _| {
+                        assert!(c != 0, "chunk zero failed");
+                        c
+                    },
+                )
+            });
+            let payload = result.expect_err("the chunk panic must propagate");
+            let message = payload
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| payload.downcast_ref::<&str>().copied())
+                .unwrap_or_default();
+            assert!(
+                message.contains("chunk zero failed"),
+                "{threads}: {message}"
+            );
         }
     }
 

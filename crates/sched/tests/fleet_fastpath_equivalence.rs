@@ -12,11 +12,13 @@
 //!   and every derived metric `to_bits`-identical, under randomized
 //!   health/occupancy churn (hot job mix over high failure rates, so
 //!   queueing, preemption, kills and probe churn all exercise).
-//! * **Placement equivalence**: the closed-form plugboard placement
-//!   count (`place_reconfigurable`) versus the submit-until-refused
-//!   loop through the production fabric
-//!   (`place_reconfigurable_naive`), over randomized health vectors —
-//!   interleaved on one machine instance, so the naive path's
+//! * **Placement equivalence**: the closed-form placement count
+//!   (`place_reconfigurable`) versus the submit-until-refused loop
+//!   through the production fabric (`place_reconfigurable_naive`), over
+//!   randomized health vectors, on the OCS plugboard and on switched
+//!   islands — including a `v4-ib` fleet of 4094 chips whose last
+//!   island holds 6, so the partial-island arithmetic is covered. The
+//!   two run interleaved on one machine instance, so the naive path's
 //!   inject/repair state restoration is exercised too.
 
 use rand::rngs::StdRng;
@@ -133,12 +135,13 @@ fn jobless_runs_are_bit_identical_too() {
 }
 
 #[test]
-fn plugboard_placement_arithmetic_matches_the_naive_fabric_loop() {
-    for (name, spec) in committed_specs() {
-        if spec.torus_dims == 0 {
-            // Switched islands take the naive path unconditionally.
-            continue;
-        }
+fn closed_form_placement_matches_the_naive_fabric_loop() {
+    // 4094 chips in 8-chip islands: 512 islands, the last holds 6.
+    let mut partial = MachineSpec::v4_ib_hybrid();
+    partial.fleet_chips = 4094;
+    let mut specs = committed_specs();
+    specs.push(("v4-ib-4094".to_owned(), partial));
+    for (name, spec) in specs {
         let model = PlannerModel::for_spec(&spec);
         let mut machine = model.reconfigurable_arm().clone();
         let units = model.blocks() as usize;
@@ -152,7 +155,7 @@ fn plugboard_placement_arithmetic_matches_the_naive_fabric_loop() {
                 let healthy: Vec<bool> = (0..units).map(|_| rng.random::<f64>() < p_up).collect();
                 let naive =
                     place_reconfigurable_naive(&mut machine, &healthy, shape, blocks_needed);
-                let fast = place_reconfigurable(&mut machine, &healthy, shape, blocks_needed);
+                let fast = place_reconfigurable(&machine, &healthy, shape, blocks_needed);
                 assert_eq!(
                     fast, naive,
                     "{name} slice {slice_blocks} blocks, trial {trial}: closed-form count diverged"
